@@ -68,11 +68,6 @@ from repro.graph.delta import DeltaGraphState
 from repro.graph.toposort import find_cycle
 from repro.obs import get_obs
 
-try:
-    import numpy as _np
-except ImportError:  # pure-array fallback keeps the pipeline available
-    _np = None
-
 #: environment override: "array" forces the pure-``array`` backend even
 #: when numpy is importable (CI runs the packed suite both ways)
 _BACKEND_ENV = "REPRO_PACKED_BACKEND"
@@ -82,12 +77,26 @@ _BACKEND_ENV = "REPRO_PACKED_BACKEND"
 _GREEDY_CAP = 4096
 
 
+def _numpy():
+    """The numpy module, or None when it is not installed.
+
+    Imported on first use, not at module load: processes that never
+    build a numpy plan (the default delta pipeline among them) skip its
+    import cost.
+    """
+    try:
+        import numpy
+    except ImportError:  # pure-array fallback keeps the pipeline available
+        return None
+    return numpy
+
+
 def default_backend() -> str:
     """The backend a plan built without an explicit choice will use."""
     forced = os.environ.get(_BACKEND_ENV, "").strip().lower()
     if forced in ("array", "numpy"):
         return forced
-    return "numpy" if _np is not None else "array"
+    return "numpy" if _numpy() is not None else "array"
 
 
 class PackedPlan:
@@ -119,7 +128,7 @@ class PackedPlan:
         if backend not in ("numpy", "array"):
             raise CheckerError("packed backend must be 'numpy' or 'array'; "
                                "got %r" % (backend,))
-        if backend == "numpy" and _np is None:
+        if backend == "numpy" and _numpy() is None:
             raise CheckerError("the numpy packed backend needs numpy "
                                "(install the [perf] extra) — set "
                                "%s=array for the fallback" % _BACKEND_ENV)
@@ -255,15 +264,16 @@ class PackedPlan:
                     % (i, sig))
         specs = self._col_specs
         if self.backend == "numpy":
-            words = _np.array([sig.flat for sig in sigs], dtype=_np.uint64)
-            digits = _np.empty((len(sigs), len(specs)), dtype=_np.uint64)
-            recon = _np.zeros_like(words)
+            np = _numpy()
+            words = np.array([sig.flat for sig in sigs], dtype=np.uint64)
+            digits = np.empty((len(sigs), len(specs)), dtype=np.uint64)
+            recon = np.zeros_like(words)
             for c, (wc, mult, ncand) in enumerate(specs):
-                col = (words[:, wc] // _np.uint64(mult)) % _np.uint64(ncand)
+                col = (words[:, wc] // np.uint64(mult)) % np.uint64(ncand)
                 digits[:, c] = col
-                recon[:, wc] += col * _np.uint64(mult)
-            if not _np.array_equal(recon, words):
-                bad = int(_np.nonzero((recon != words).any(axis=1))[0][0])
+                recon[:, wc] += col * np.uint64(mult)
+            if not np.array_equal(recon, words):
+                bad = int(np.nonzero((recon != words).any(axis=1))[0][0])
                 raise SignatureError(
                     "signature %d (%s) is outside the mixed-radix range "
                     "of its weight tables" % (bad, sigs[bad]))

@@ -56,28 +56,33 @@ class ContentionModel:
         self.rng = rng
         self.config = config
         self.core_speed = core_speed or {}
-        self._owner: dict[int, int] = {}
-        self._sharers: dict[int, set[int]] = {}
+        # the executors call the access methods once per test access:
+        # resolve the word->line map once, up front
+        self._line = [layout.line_of(addr) for addr in range(layout.num_words)]
+        self._random = rng.random
+        self.reset()
 
     def reset(self) -> None:
         """Forget all line state (hard reset between test runs)."""
-        self._owner.clear()
-        self._sharers.clear()
+        lines = self.layout.num_lines
+        self._owner: list = [None] * lines
+        self._sharers: list[set[int]] = [set() for _ in range(lines)]
 
     def _scaled(self, core: int, latency: float) -> float:
         cfg = self.config
-        extra = self.rng.random() * cfg.jitter * latency
-        if cfg.hiccup_prob and self.rng.random() < cfg.hiccup_prob:
-            extra += cfg.hiccup_cycles * (0.5 + self.rng.random())
+        random = self._random
+        extra = random() * cfg.jitter * latency
+        if cfg.hiccup_prob and random() < cfg.hiccup_prob:
+            extra += cfg.hiccup_cycles * (0.5 + random())
         return (latency + extra) * self.core_speed.get(core, 1.0)
 
     def load_latency(self, core: int, addr: int) -> float:
         """Latency of a load by ``core`` from shared word ``addr``."""
-        line = self.layout.line_of(addr)
-        sharers = self._sharers.setdefault(line, set())
+        line = self._line[addr]
+        sharers = self._sharers[line]
         if core in sharers:
             latency = self.config.l1_hit
-        elif sharers or line in self._owner:
+        elif sharers or self._owner[line] is not None:
             latency = self.config.shared_hit
         else:
             latency = self.config.miss
@@ -86,12 +91,13 @@ class ContentionModel:
 
     def store_latency(self, core: int, addr: int) -> float:
         """Latency of a store by ``core`` becoming globally visible."""
-        line = self.layout.line_of(addr)
-        sharers = self._sharers.setdefault(line, set())
-        owner = self._owner.get(line)
-        if owner == core and sharers <= {core}:
+        line = self._line[addr]
+        sharers = self._sharers[line]
+        owner = self._owner[line]
+        others = len(sharers) - (core in sharers)   # sharers other than core
+        if owner == core and not others:
             latency = self.config.l1_hit
-        elif sharers - {core}:
+        elif others:
             latency = self.config.invalidation
         elif owner is None and not sharers:
             latency = self.config.miss

@@ -24,6 +24,17 @@ The executor also charges the instrumentation's runtime costs:
 * ``flush`` mode (the register-flushing baseline [24]) issues one extra
   log store after every load, perturbing timing and contending for store
   bandwidth.
+
+Each machine is one hot loop over data laid out for it: every thread's
+ops are compiled once per executor into flat ``(kind, addr, uid)``
+tuples, and a live-thread list in index order survives across steps.
+The weak machine never lists its eligible window entries on the plain
+path: a non-empty window always has one, and a lazy scan picks the
+completing entry.  The loops make exactly the random draws, in exactly
+the order, of the straightforward formulation (list every eligible
+entry, then draw for each but the last until one succeeds).  The fault
+plane's trigger draws keep their places too.  ``tests/test_sim_golden.py``
+pins that order through execution digests.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import random
 from dataclasses import dataclass
 
 from repro.errors import ExecutionError
-from repro.isa.instructions import INIT
+from repro.isa.instructions import INIT, OpKind
 from repro.isa.layout import MemoryLayout
 from repro.isa.program import TestProgram
 from repro.mcm.model import MemoryModel
@@ -52,6 +63,8 @@ _BRANCH_COST = 1.0
 _MISPREDICT_PENALTY = 14.0
 #: cycles to fetch one operation into the weak model's reorder window
 _FETCH_COST = 0.5
+
+_STORE, _BARRIER = OpKind.STORE, OpKind.BARRIER
 
 
 @dataclass(frozen=True)
@@ -156,6 +169,9 @@ class OperationalExecutor:
             plane.reseed(seed)
         if layout is None:
             layout = MemoryLayout(program.num_addresses, 1)
+        if layout.num_words < program.num_addresses:
+            raise ExecutionError("layout covers %d words; the program uses %d "
+                                 "addresses" % (layout.num_words, program.num_addresses))
         self._layout = layout
         if uniform_random:
             self.contention = UniformModel()
@@ -163,16 +179,22 @@ class OperationalExecutor:
             self.contention = ContentionModel(
                 layout, self.rng, latency or platform.latency,
                 core_speed=platform.thread_speeds(program.num_threads))
+        # each thread's ops, compiled once into flat (kind, addr, uid) tuples
+        self._flat_ops = [
+            [(op.kind, op.addr, op.uid) for op in tp.ops]
+            for tp in program.threads]
+        self._lens = [len(ops) for ops in self._flat_ops]
         # per-load-site branch predictor state: last observed candidate index
         self._predictor: dict[int, int] = {}
-        self._cand_index: dict[tuple, int] = {}
+        # per-load candidate index by source, indexed by load uid
+        self._cand_index: list[dict] = [{}] * program.num_ops
         self._chain_len: dict[int, int] = {}
         if codec is not None:
             for table in codec.tables:
                 for slot in table.slots:
                     self._chain_len[slot.uid] = len(slot.candidates)
-                    for i, src in enumerate(slot.candidates):
-                        self._cand_index[(slot.uid, src)] = i
+                    self._cand_index[slot.uid] = {
+                        src: i for i, src in enumerate(slot.candidates)}
 
     # -- public API -------------------------------------------------------------
 
@@ -210,32 +232,35 @@ class OperationalExecutor:
     # -- shared helpers -----------------------------------------------------------
 
     def _fresh_state(self):
+        """Per-iteration machine state: memory, ws, rf, clocks, instrument
+        clocks, pcs and counters."""
         self.contention.reset()
         rng = self.rng
         n = self.program.num_threads
         clocks = [rng.random() * self.tuning.start_skew for _ in range(n)]
-        return ({}, {addr: [] for addr in range(self.program.num_addresses)}, clocks)
+        num_addresses = self.program.num_addresses
+        return ([INIT] * num_addresses, {addr: [] for addr in range(num_addresses)},
+                {}, clocks, [0.0] * n, [0] * n, ExecutionCounters())
 
-    def _pick_thread(self, clocks, runnable) -> int:
-        """Earliest-clock scheduling (or uniform in limit-study mode)."""
-        if self.uniform_random:
-            return self.rng.choice(runnable)
-        best = runnable[0]
-        best_clock = clocks[best]
-        for t in runnable[1:]:
-            if clocks[t] < best_clock:
-                best, best_clock = t, clocks[t]
-        return best
+    def _hooks(self):
+        """Bound per-access callables: load and store latency, the load
+        instrumentation, the OS model and the uniform thread pick (the
+        last three None when not in use)."""
+        lat = self.contention
+        return (lat.load_latency, lat.store_latency,
+                self._instrument_load if self.instrumentation else None,
+                self.os_model, self.rng.choice if self.uniform_random else None)
 
-    def _instrument_load(self, load_uid: int, source, counters: ExecutionCounters) -> float:
-        """Cost charged for one load's observability code; 0 when uninstrumented."""
-        mode = self.instrumentation
-        if mode is None:
-            return 0.0
-        if mode == "flush":
+    def _instrument_load(self, t: int, load_uid: int, source,
+                         counters: ExecutionCounters) -> float:
+        """Cost charged for thread ``t``'s load observability code.
+
+        The loops call this only when an instrumentation mode is set.
+        """
+        if self.instrumentation == "flush":
             counters.extra_accesses += 1
-            return self.contention.private_store_latency(self.program.op(load_uid).thread)
-        index = self._cand_index.get((load_uid, source))
+            return self.contention.private_store_latency(t)
+        index = self._cand_index[load_uid].get(source)
         if index is None:
             # The observed source lies outside the load's candidate set:
             # the compare/branch chain falls through to its assertion
@@ -244,37 +269,46 @@ class OperationalExecutor:
             # chain plus the taken assert branch; the predictor state is
             # left alone (the iteration aborts into the error handler).
             counters.assert_errors += 1
-            cost = (self._chain_len.get(load_uid, 0) + 1) * _BRANCH_COST \
+            return (self._chain_len.get(load_uid, 0) + 1) * _BRANCH_COST \
                 + _MISPREDICT_PENALTY
-            counters.instrumentation_cycles += cost
-            return cost
         predicted = self._predictor.get(load_uid, 0)
         cost = (index + 1) * _BRANCH_COST
         if index != predicted:
             cost += _MISPREDICT_PENALTY
             counters.branch_mispredicts += 1
         self._predictor[load_uid] = index
-        counters.instrumentation_cycles += cost
         return cost
 
-    def _finish(self, counters: ExecutionCounters, base_clocks, instr_clocks) -> None:
-        """Charge end-of-run signature stores and close the accounting."""
+    def _finish(self, counters: ExecutionCounters, accesses: int, base_clocks,
+                instr_clocks) -> None:
+        """Charge end-of-run signature stores and close the accounting.
+
+        Instrumentation cycles are the critical-path overhead: the
+        slowest thread's base plus instrument clocks, less the base.
+        """
+        counters.test_accesses = accesses
         if self.instrumentation == "signature":
             for tid, table in enumerate(self.codec.tables):
                 for _ in range(table.num_words):
                     cost = self.contention.private_store_latency(tid)
                     instr_clocks[tid] += cost
-                    counters.instrumentation_cycles += cost
                     counters.extra_accesses += 1
         base = max(base_clocks) if base_clocks else 0.0
         total = max(b + i for b, i in zip(base_clocks, instr_clocks)) if base_clocks else 0.0
         counters.base_cycles = base
         counters.instrumentation_cycles = max(0.0, total - base)
 
-    def _perturb(self, latency: float) -> float:
-        if self.os_model is not None:
-            return latency + self.os_model.perturb(latency)
-        return latency
+    @staticmethod
+    def _live(pcs, lens, buffers, waiting) -> list[int]:
+        """Threads with work left and not parked at a rendezvous, in index order.
+
+        The loops keep this list across steps and rebuild it only when a
+        thread parks or is released; a finished thread is removed in
+        place.  Index order keeps earliest-clock ties (lowest index) and
+        ``rng.choice`` draws exactly as a per-step rebuild would.
+        """
+        return [t for t in range(len(pcs))
+                if t not in waiting and (pcs[t] < lens[t] or buffers[t])]
 
     # -- fault-point helpers (consulted only when a plane arms them) -------------
 
@@ -315,161 +349,197 @@ class OperationalExecutor:
     # -- TSO machine ---------------------------------------------------------------
 
     def _run_tso(self) -> Execution:
-        program, rng = self.program, self.rng
-        memory, ws, clocks = self._fresh_state()
-        counters = ExecutionCounters()
-        instr_clocks = [0.0] * program.num_threads
-        rf: dict[int, object] = {}
-        threads = [tp.ops for tp in program.threads]
-        pcs = [0] * len(threads)
-        sbs: list[list] = [[] for _ in threads]   # entries: (addr, uid)
-        window = self.platform.window_size
-        arrived = [0] * len(threads)
+        memory, ws, rf, clocks, instr_clocks, pcs, counters = self._fresh_state()
+        load_latency, store_latency, instrument, os_model, choice = self._hooks()
+        threads, lens, n = self._flat_ops, self._lens, len(self._flat_ops)
+        random, clock_of, accesses = self.rng.random, clocks.__getitem__, 0
+        arrived, sync = [0] * n, self.sync_barriers
         waiting: set[int] = set()
-        lat = self.contention
+        sbs: list[list] = [[] for _ in threads]   # entries: (addr, uid)
+        window, drain_prob = self.platform.window_size, self.tuning.drain_prob
+        plane = self.plane
+        armed = plane.arms if plane is not None else lambda point: False
+        fence_drop = armed("fence.drop")
+        sb_reorder = armed("tso.sb_reorder")
+        alias = armed("tso.sb_forward_alias")
+        stale_read = armed("mem.stale_read")
+        live = self._live(pcs, lens, sbs, waiting)
 
-        while True:
-            runnable = [t for t in range(len(threads))
-                        if t not in waiting and (pcs[t] < len(threads[t]) or sbs[t])]
-            if not runnable:
-                if waiting:  # all remaining threads wait at the final barrier
-                    waiting.clear()
-                    continue
-                break
-            t = self._pick_thread(clocks, runnable)
-            ops, pc, sb = threads[t], pcs[t], sbs[t]
-            op = ops[pc] if pc < len(ops) else None
-            plane = self.plane
-
-            if op is not None and op.is_barrier:
-                if sb and not (plane is not None and plane.fires("fence.drop")):
-                    action = "drain"
-                else:
-                    # fence.drop: the barrier retires with stores still
-                    # buffered — its store->load ordering effect is lost
-                    pcs[t] += 1
-                    clocks[t] += 1.0
-                    if self.sync_barriers:
-                        arrived[t] += 1
-                        waiting.add(t)
-                        self._release_sync(arrived, pcs, threads, waiting, clocks)
-                    continue
-            elif op is None:
-                action = "drain"
-            elif not sb:
-                action = "issue"
-            elif len(sb) >= window or rng.random() < self.tuning.drain_prob:
-                action = "drain"
-            else:
-                action = "issue"
-
-            if action == "drain":
-                drain_at = 0
-                if plane is not None and len(sb) > 1 \
-                        and plane.fires("tso.sb_reorder"):
-                    # non-FIFO drain: a younger buffered store reaches
-                    # memory ahead of the oldest one
-                    drain_at = 1 + plane.pick_index(len(sb) - 1)
-                addr, uid = sb.pop(drain_at)
-                memory[addr] = uid
-                ws[addr].append(uid)
-                clocks[t] += self._perturb(lat.store_latency(t, addr))
+        while live or waiting:
+            if not live:   # every remaining thread waits at the final barrier
+                waiting.clear()
+                live = self._live(pcs, lens, sbs, waiting)
                 continue
+            t = choice(live) if choice else (
+                clocks.index(min(clocks)) if len(live) == n
+                else min(live, key=clock_of))
+            pc, sb = pcs[t], sbs[t]
 
-            pcs[t] += 1
-            counters.test_accesses += 1
-            if op.is_store:
-                sb.append((op.addr, op.uid))
-                latency = 1.0 + rng.random()
+            if pc < lens[t]:
+                kind, addr, uid = threads[t][pc]
+                if kind is _BARRIER:
+                    if not sb or (fence_drop and plane.fires("fence.drop")):
+                        # fence.drop: the barrier retires with stores still
+                        # buffered — its store->load ordering effect is lost
+                        pcs[t] = pc + 1
+                        clocks[t] += 1.0
+                        if sync:
+                            live = self._arrive(t, arrived, pcs, lens, sbs,
+                                                waiting, clocks)
+                        elif pc + 1 == lens[t] and not sb:
+                            live.remove(t)
+                        continue
+                elif not sb or (len(sb) < window and random() >= drain_prob):
+                    pcs[t] = pc + 1
+                    accesses += 1
+                    if kind is _STORE:
+                        sb.append((addr, uid))
+                        latency = 1.0 + random()
+                    else:
+                        source = None
+                        for entry_addr, entry_uid in reversed(sb):
+                            if entry_addr == addr:
+                                source = entry_uid
+                                break
+                        if source is None and alias:
+                            source = self._alias_forward(sb, addr, plane)
+                        if source is not None:
+                            latency = 2.0 + random()     # store-to-load forwarding
+                        else:
+                            source = memory[addr]
+                            if stale_read:
+                                source = self._stale_read(ws[addr], source, plane)
+                            latency = load_latency(t, addr)
+                        rf[uid] = source
+                        if instrument is not None:
+                            instr_clocks[t] += instrument(t, uid, source, counters)
+                    if os_model is not None:
+                        latency += os_model.perturb(latency)
+                    clocks[t] += latency
+                    if pc + 1 == lens[t] and not sb:
+                        live.remove(t)
+                    continue
+
+            # drain the oldest buffered store to memory
+            if sb_reorder and len(sb) > 1 and plane.fires("tso.sb_reorder"):
+                # non-FIFO drain: a younger buffered store reaches
+                # memory ahead of the oldest one
+                addr, uid = sb.pop(1 + plane.pick_index(len(sb) - 1))
             else:
-                source = None
-                for addr, uid in reversed(sb):
-                    if addr == op.addr:
-                        source = uid
-                        break
-                if source is None and plane is not None \
-                        and plane.arms("tso.sb_forward_alias"):
-                    source = self._alias_forward(sb, op.addr, plane)
-                if source is not None:
-                    latency = 2.0 + rng.random()     # store-to-load forwarding
-                else:
-                    source = memory.get(op.addr, INIT)
-                    if plane is not None and plane.arms("mem.stale_read"):
-                        source = self._stale_read(ws[op.addr], source, plane)
-                    latency = lat.load_latency(t, op.addr)
-                rf[op.uid] = source
-                instr_clocks[t] += self._instrument_load(op.uid, source, counters)
-            clocks[t] += self._perturb(latency)
+                addr, uid = sb.pop(0)
+            memory[addr] = uid
+            ws[addr].append(uid)
+            latency = store_latency(t, addr)
+            if os_model is not None:
+                latency += os_model.perturb(latency)
+            clocks[t] += latency
+            if pc == lens[t] and not sb:
+                live.remove(t)
 
-        self._finish(counters, clocks, instr_clocks)
+        self._finish(counters, accesses, clocks, instr_clocks)
         return Execution(rf, ws, counters)
 
     # -- weak-ordering machine --------------------------------------------------------
 
     def _run_weak(self) -> Execution:
-        program, rng = self.program, self.rng
-        memory, ws, clocks = self._fresh_state()
-        counters = ExecutionCounters()
-        instr_clocks = [0.0] * program.num_threads
-        rf: dict[int, object] = {}
-        threads = [tp.ops for tp in program.threads]
-        pcs = [0] * len(threads)
-        windows: list[list] = [[] for _ in threads]
-        capacity = self.platform.window_size
-        arrived = [0] * len(threads)
+        memory, ws, rf, clocks, instr_clocks, pcs, counters = self._fresh_state()
+        load_latency, store_latency, instrument, os_model, choice = self._hooks()
+        threads, lens, n = self._flat_ops, self._lens, len(self._flat_ops)
+        random, clock_of, accesses = self.rng.random, clocks.__getitem__, 0
+        arrived, sync = [0] * n, self.sync_barriers
         waiting: set[int] = set()
-        lat = self.contention
+        windows: list[list] = [[] for _ in threads]
+        capacity, fetch_prob, bias = (self.platform.window_size,
+                                      self.tuning.fetch_prob, self.tuning.in_order_bias)
+        plane = self.plane
+        armed = plane.arms if plane is not None else lambda point: False
+        mutate_window = armed("weak.window_escape") or armed("fence.drop")
+        stale_read = armed("mem.stale_read")
+        live = self._live(pcs, lens, windows, waiting)
 
-        while True:
-            runnable = [t for t in range(len(threads))
-                        if t not in waiting and (pcs[t] < len(threads[t]) or windows[t])]
-            if not runnable:
-                if waiting:
-                    waiting.clear()
-                    continue
-                break
-            t = self._pick_thread(clocks, runnable)
-            ops, pc, win = threads[t], pcs[t], windows[t]
-            plane = self.plane
+        while live or waiting:
+            if not live:   # every remaining thread waits at the final barrier
+                waiting.clear()
+                live = self._live(pcs, lens, windows, waiting)
+                continue
+            t = choice(live) if choice else (
+                clocks.index(min(clocks)) if len(live) == n
+                else min(live, key=clock_of))
+            pc, win = pcs[t], windows[t]
 
-            can_fetch = pc < len(ops) and len(win) < capacity
-            eligible = self._eligible(win)
-            if plane is not None and win:
-                eligible = self._mutated_eligible(win, eligible, plane)
-            if can_fetch and (not eligible or rng.random() < self.tuning.fetch_prob):
-                win.append(ops[pc])
-                pcs[t] += 1
+            # Window faults need the full eligible list on every step,
+            # fetch steps included, so their trigger draws stay in place.
+            eligible = None
+            if mutate_window and win:
+                eligible = self._mutated_eligible(
+                    win, self._eligible_entries(win), plane)
+            if pc < lens[t] and len(win) < capacity \
+                    and (not win or random() < fetch_prob):
+                win.append(threads[t][pc])
+                pcs[t] = pc + 1
                 clocks[t] += _FETCH_COST
                 continue
-            if not eligible:
-                # A non-empty window always has an eligible entry (the
-                # oldest op or barrier), and an empty window with pending
-                # pc always allows a fetch; anything else is a logic error.
+            if not win:
+                # An empty window with pending pc always allows a fetch
+                # unless the window has no capacity at all.
                 raise ExecutionError("weak machine wedged on thread %d" % t)
 
-            op = win.pop(self._pick_eligible(eligible))
-            if op.is_barrier:
-                clocks[t] += 1.0
-                if self.sync_barriers:
-                    arrived[t] += 1
-                    waiting.add(t)
-                    self._release_sync(arrived, pcs, threads, waiting, clocks)
-                continue
-            counters.test_accesses += 1
-            if op.is_store:
-                memory[op.addr] = op.uid
-                ws[op.addr].append(op.uid)
-                latency = lat.store_latency(t, op.addr)
+            # Pick the entry to complete, biased towards the oldest (an
+            # out-of-order core mostly commits in order but lets a younger
+            # ready access slip ahead): every eligible entry but the last
+            # costs one draw, and the first success stops the pick.  The
+            # lazy scan applies _eligible_entries' rules as it goes and
+            # draws for an entry once a younger eligible one shows up.
+            if eligible is None:
+                idx = None
+                seen = set()
+                for i, (kind, addr, _) in enumerate(win):
+                    if kind is _BARRIER:
+                        if i == 0:
+                            idx = 0
+                        break
+                    if addr in seen:
+                        continue
+                    if idx is not None and random() < bias:
+                        break
+                    idx = i
+                    seen.add(addr)
             else:
-                source = memory.get(op.addr, INIT)
-                if plane is not None and plane.arms("mem.stale_read"):
-                    source = self._stale_read(ws[op.addr], source, plane)
-                rf[op.uid] = source
-                latency = lat.load_latency(t, op.addr)
-                instr_clocks[t] += self._instrument_load(op.uid, source, counters)
-            clocks[t] += self._perturb(latency)
+                for idx in eligible[:-1]:
+                    if random() < bias:
+                        break
+                else:
+                    idx = eligible[-1]
 
-        self._finish(counters, clocks, instr_clocks)
+            kind, addr, uid = win.pop(idx)
+            if kind is _BARRIER:
+                clocks[t] += 1.0
+                if sync:
+                    live = self._arrive(t, arrived, pcs, lens, windows,
+                                        waiting, clocks)
+                elif not win and pc == lens[t]:
+                    live.remove(t)
+                continue
+            accesses += 1
+            if kind is _STORE:
+                memory[addr] = uid
+                ws[addr].append(uid)
+                latency = store_latency(t, addr)
+            else:
+                source = memory[addr]
+                if stale_read:
+                    source = self._stale_read(ws[addr], source, plane)
+                rf[uid] = source
+                latency = load_latency(t, addr)
+                if instrument is not None:
+                    instr_clocks[t] += instrument(t, uid, source, counters)
+            if os_model is not None:
+                latency += os_model.perturb(latency)
+            clocks[t] += latency
+            if not win and pc == lens[t]:
+                live.remove(t)
+
+        self._finish(counters, accesses, clocks, instr_clocks)
         return Execution(rf, ws, counters)
 
     def _mutated_eligible(self, window: list, eligible: list[int],
@@ -495,138 +565,120 @@ class OperationalExecutor:
             if not plane.arms(point):
                 continue
             allowed = set(eligible)
-            added = [i for i in self._eligible_unblocked(window, drop_fences)
+            added = [i for i in self._eligible_entries(
+                         window, coherence=drop_fences, fences=not drop_fences)
                      if i not in allowed]
             if added and plane.fires(point):
                 return added
         return eligible
 
     @staticmethod
-    def _eligible_unblocked(window: list, drop_fences: bool) -> list[int]:
-        """Eligibility with ordering enforcement deliberately broken.
+    def _eligible_entries(window: list, coherence: bool = True,
+                          fences: bool = True) -> list[int]:
+        """Window indices whose operations may complete now (fault path).
 
-        With ``drop_fences`` False this lifts only same-address blocking
-        (``weak.window_escape``); with True it additionally makes
-        barriers transparent and completable anywhere (``fence.drop``).
+        With both rules enforced (the default) an operation is blocked
+        by any older pending same-address access (per-location
+        coherence) and by any older pending barrier, and a barrier may
+        only complete once it is the oldest pending entry — the lazy
+        scan in :meth:`_run_weak` applies the same rules.  Lifting
+        ``coherence`` gives ``weak.window_escape``'s eligibility;
+        lifting ``fences`` makes barriers transparent and completable
+        anywhere (``fence.drop``).
         """
         eligible = []
         seen_addrs: set = set()
-        for i, op in enumerate(window):
-            if op.is_barrier:
-                if drop_fences:
+        for i, (kind, addr, _) in enumerate(window):
+            if kind is _BARRIER:
+                if not fences:
                     eligible.append(i)
                     continue
                 if i == 0:
                     eligible.append(0)
                 break
-            if drop_fences:
-                if op.addr not in seen_addrs:
-                    eligible.append(i)
-                    seen_addrs.add(op.addr)
-            else:
+            if not coherence:
                 eligible.append(i)
-        return eligible
-
-    def _pick_eligible(self, eligible: list[int]) -> int:
-        """Pick a window entry to complete, biased towards the oldest.
-
-        A geometric bias models an out-of-order core that mostly commits
-        in order but occasionally lets a younger ready access slip ahead.
-        """
-        bias = self.tuning.in_order_bias
-        rng = self.rng
-        for idx in eligible[:-1]:
-            if rng.random() < bias:
-                return idx
-        return eligible[-1]
-
-    @staticmethod
-    def _eligible(window: list) -> list[int]:
-        """Window indices whose operations may complete now.
-
-        An operation is blocked by any older pending same-address access
-        (per-location coherence) and by any older pending barrier; a
-        barrier may only complete once it is the oldest pending entry.
-        """
-        eligible = []
-        seen_addrs = set()
-        for i, op in enumerate(window):
-            if op.is_barrier:
-                if i == 0:
-                    eligible.append(0)
-                break
-            if op.addr not in seen_addrs:
+            elif addr not in seen_addrs:
                 eligible.append(i)
-                seen_addrs.add(op.addr)
+                seen_addrs.add(addr)
         return eligible
 
     # -- SC machine -------------------------------------------------------------------
 
     def _run_sc(self) -> Execution:
-        program = self.program
-        memory, ws, clocks = self._fresh_state()
-        counters = ExecutionCounters()
-        instr_clocks = [0.0] * program.num_threads
-        rf: dict[int, object] = {}
-        threads = [tp.ops for tp in program.threads]
-        pcs = [0] * len(threads)
-        arrived = [0] * len(threads)
+        memory, ws, rf, clocks, instr_clocks, pcs, counters = self._fresh_state()
+        load_latency, store_latency, instrument, os_model, choice = self._hooks()
+        threads, lens, n = self._flat_ops, self._lens, len(self._flat_ops)
+        clock_of, accesses = clocks.__getitem__, 0
+        arrived, sync = [0] * n, self.sync_barriers
         waiting: set[int] = set()
-        lat = self.contention
+        no_buffers = [()] * n
+        plane = self.plane
+        stale_read = plane is not None and plane.arms("mem.stale_read")
+        live = self._live(pcs, lens, no_buffers, waiting)
 
-        while True:
-            runnable = [t for t in range(len(threads))
-                        if t not in waiting and pcs[t] < len(threads[t])]
-            if not runnable:
-                if waiting:
-                    waiting.clear()
-                    continue
-                break
-            t = self._pick_thread(clocks, runnable)
-            op = threads[t][pcs[t]]
-            plane = self.plane
-            pcs[t] += 1
-            if op.is_barrier:
-                clocks[t] += 1.0
-                if self.sync_barriers:
-                    arrived[t] += 1
-                    waiting.add(t)
-                    self._release_sync(arrived, pcs, threads, waiting, clocks)
+        while live or waiting:
+            if not live:   # every remaining thread waits at the final barrier
+                waiting.clear()
+                live = self._live(pcs, lens, no_buffers, waiting)
                 continue
-            counters.test_accesses += 1
-            if op.is_store:
-                memory[op.addr] = op.uid
-                ws[op.addr].append(op.uid)
-                latency = lat.store_latency(t, op.addr)
+            t = choice(live) if choice else (
+                clocks.index(min(clocks)) if len(live) == n
+                else min(live, key=clock_of))
+            pc = pcs[t]
+            kind, addr, uid = threads[t][pc]
+            pcs[t] = pc + 1
+            if kind is _BARRIER:
+                clocks[t] += 1.0
+                if sync:
+                    live = self._arrive(t, arrived, pcs, lens, no_buffers,
+                                        waiting, clocks)
+                elif pc + 1 == lens[t]:
+                    live.remove(t)
+                continue
+            accesses += 1
+            if kind is _STORE:
+                memory[addr] = uid
+                ws[addr].append(uid)
+                latency = store_latency(t, addr)
             else:
-                source = memory.get(op.addr, INIT)
-                if plane is not None and plane.arms("mem.stale_read"):
-                    source = self._stale_read(ws[op.addr], source, plane)
-                rf[op.uid] = source
-                latency = lat.load_latency(t, op.addr)
-                instr_clocks[t] += self._instrument_load(op.uid, source, counters)
-            clocks[t] += self._perturb(latency)
+                source = memory[addr]
+                if stale_read:
+                    source = self._stale_read(ws[addr], source, plane)
+                rf[uid] = source
+                latency = load_latency(t, addr)
+                if instrument is not None:
+                    instr_clocks[t] += instrument(t, uid, source, counters)
+            if os_model is not None:
+                latency += os_model.perturb(latency)
+            clocks[t] += latency
+            if pc + 1 == lens[t]:
+                live.remove(t)
 
-        self._finish(counters, clocks, instr_clocks)
+        self._finish(counters, accesses, clocks, instr_clocks)
         return Execution(rf, ws, counters)
 
     # -- rendezvous -------------------------------------------------------------------
 
-    def _release_sync(self, arrived, pcs, threads, waiting, clocks) -> None:
-        """Release barrier waiters once every unfinished thread caught up.
+    def _arrive(self, t, arrived, pcs, lens, buffers, waiting, clocks) -> list[int]:
+        """Park thread ``t`` at a global barrier; return the new live list.
 
-        A thread that already ran past its last barrier (or finished) never
+        Waiters are released once every unfinished thread caught up.  A
+        thread that already ran past its last barrier (or finished) never
         holds others back.  Requires aligned barrier counts for meaningful
         epoch semantics (as produced by :func:`repro.instrument.regularize`).
         """
+        arrived[t] += 1
+        waiting.add(t)
         lagging = min(
-            (arrived[t] for t in range(len(threads))
-             if t not in waiting and pcs[t] < len(threads[t])),
+            (arrived[u] for u in range(len(pcs))
+             if u not in waiting and pcs[u] < lens[u]),
             default=None)
-        target = min(arrived[t] for t in waiting)
-        if lagging is not None and lagging < target:
-            return
-        release_time = max(clocks[t] for t in waiting)
-        for t in list(waiting):
-            waiting.discard(t)
-            clocks[t] = max(clocks[t], release_time) + self.rng.random() * self.tuning.start_skew
+        target = min(arrived[u] for u in waiting)
+        if lagging is None or lagging >= target:
+            release_time = max(clocks[u] for u in waiting)
+            for u in list(waiting):
+                waiting.discard(u)
+                clocks[u] = max(clocks[u], release_time) \
+                    + self.rng.random() * self.tuning.start_skew
+        return self._live(pcs, lens, buffers, waiting)

@@ -1,0 +1,43 @@
+"""Start-up cost: the default CLI paths never import numpy.
+
+numpy backs only the packed pipeline's accelerated backend and the
+k-medoids analysis, so a ``repro`` process on the default ``delta``
+pipeline must not pay its import (tens of milliseconds per process).
+Each probe runs in a fresh interpreter, because this test process may
+already have numpy loaded.
+"""
+
+import os
+import subprocess
+import sys
+
+import repro
+from repro.cli import main
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+
+def numpy_loaded_after(code: str, cwd) -> bool:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    env.pop("REPRO_PACKED_BACKEND", None)
+    probe = code + "\nimport sys\nprint('numpy' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def test_import_cli_skips_numpy(tmp_path):
+    assert not numpy_loaded_after("import repro.cli", tmp_path)
+
+
+def test_default_check_skips_numpy(tmp_path, capsys):
+    dump = str(tmp_path / "dump.json")
+    assert main(["run", "--threads", "2", "--ops", "10", "--addresses", "4",
+                 "--iterations", "30", "-o", dump]) == 0
+    capsys.readouterr()
+    code = ("from repro.cli import main\n"
+            "assert main(['check', %r]) == 0" % dump)
+    assert not numpy_loaded_after(code, tmp_path)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.instrument import SignatureCodec
-from repro.isa import INIT, TestProgram, barrier, load, store
+from repro.isa import INIT, MemoryLayout, TestProgram, barrier, load, store
 from repro.mcm import SC, TSO, WEAK
 from repro.sim import ARM_BIG_LITTLE, OperationalExecutor, X86_DESKTOP
 from repro.testgen import TestConfig, generate
@@ -188,6 +188,11 @@ class TestPlatforms:
 
         with pytest.raises(ExecutionError):
             OperationalExecutor(small_program, Fake())
+
+    def test_layout_must_cover_every_address(self, small_program):
+        short = MemoryLayout(small_program.num_addresses - 1)
+        with pytest.raises(ExecutionError):
+            OperationalExecutor(small_program, WEAK, layout=short)
 
     def test_uniform_random_mode(self, small_program):
         ex = OperationalExecutor(small_program, SC, seed=1, uniform_random=True)

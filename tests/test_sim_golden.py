@@ -112,7 +112,7 @@ CASES = {
         "sc", instrumentation="signature", points=["mem.stale_read"]),
     "weak-window_escape": lambda: _operational(
         "weak", instrumentation="signature", points=["weak.window_escape"]),
-    "weak-window_escape+fence_drop": lambda: _operational(
+    "weak-window_faults": lambda: _operational(
         "weak", points=["weak.window_escape", "fence.drop"]),
     "tso-sb_forward_alias": lambda: _operational(
         "tso", instrumentation="signature", words_per_line=4,
@@ -178,7 +178,7 @@ GOLDEN = {
     'weak-sync_barriers': '459d5df0fe680ec1e880e9f5654e31f1ad1bd87be3e6d3a6351279798d20a3cf',
     'weak-uniform_random': 'e46c8f8aa643b12a15d4523ca47e474fa9e7b3835afbb225a7a903c75fe8e34e',
     'weak-window_escape': '1f8cbc5bd4eb1f89c44bb8138cece375b93d817f5740f0ca544bd0116b3dc9db',
-    'weak-window_escape+fence_drop': '3a45684edae01218ca2f9f71632a386a4a9e614c29c4689a0985953ea74123b9',
+    'weak-window_faults': '3a45684edae01218ca2f9f71632a386a4a9e614c29c4689a0985953ea74123b9',
 }
 
 
