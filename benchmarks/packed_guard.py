@@ -1,11 +1,12 @@
 """Deterministic perf-regression guard for the packed checking core.
 
 Runs the shared reduced Figure-9 configuration table (see
-``guard_common.py``) through the array-compiled ``packed`` pipeline,
+``guard_common.py``) through the ``packed`` pipeline,
 enforces three-way verdict parity (packed == delta == legacy graphs,
 collective and baseline), and compares every deterministic work count —
-plus the packed plan's edge-universe size and similarity-ordering yield
-— against the committed snapshot
+plus the packed plan's edge-universe size and the similarity-ordering
+yield of :func:`repro.analysis.similarity.digit_similarity` over its
+digit rows — against the committed snapshot
 ``benchmarks/results/PACKED_GUARD.json``.  A change that grows the edge
 universe, weakens the greedy bucket ordering or re-sorts more vertices
 than the snapshot fails CI even when parity still holds.
@@ -22,16 +23,19 @@ import sys
 
 import guard_common
 
+from repro.analysis.similarity import digit_similarity
+
 SNAPSHOT = guard_common.RESULTS_DIR / "PACKED_GUARD.json"
 
 
 def _plan_counts(outcome) -> dict:
     """Packed-plan counts the generic report misses."""
     plan = outcome.source
+    similarity = digit_similarity(plan.digit_rows, plan.digit_columns)
     return {
         "edge_universe": plan.num_edges,
-        "digit_columns": plan.similarity["digit_columns"],
-        "bucket_digits_changed": plan.similarity["bucket_digits_changed"],
+        "digit_columns": similarity["digit_columns"],
+        "bucket_digits_changed": similarity["bucket_digits_changed"],
     }
 
 

@@ -7,7 +7,12 @@ from repro.analysis.coverage import (
     saturation_curve,
 )
 from repro.analysis.kmedoids import ClusteringResult, k_medoids, limit_study
-from repro.analysis.similarity import distance_matrix, rf_distance
+from repro.analysis.similarity import (
+    digit_similarity,
+    distance_matrix,
+    greedy_chain,
+    rf_distance,
+)
 from repro.analysis.stats import (
     UniquenessStats,
     estimated_signature_bits,
@@ -22,9 +27,11 @@ __all__ = [
     "discovery_rate",
     "saturation_curve",
     "UniquenessStats",
+    "digit_similarity",
     "distance_matrix",
     "estimated_signature_bits",
     "estimated_signature_cardinality",
+    "greedy_chain",
     "k_medoids",
     "limit_study",
     "rf_distance",

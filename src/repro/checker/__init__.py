@@ -8,7 +8,6 @@ from repro.checker.dispatch import (
     PIPELINES,
     SERVE_PIPELINES,
     choose_pipeline,
-    estimate_costs,
 )
 from repro.checker.minimize import MinimizedViolation, minimize_violation
 from repro.checker.packed import PackedChecker, PackedPlan
@@ -49,7 +48,6 @@ __all__ = [
     "SignatureDeltaSource",
     "choose_pipeline",
     "cross_check_poly",
-    "estimate_costs",
     "minimize_violation",
     "Verdict",
     "describe_cycle",

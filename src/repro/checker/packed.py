@@ -1,20 +1,19 @@
-"""Array-packed collective checking: flat CSR kernels over digit matrices.
+"""Array-packed collective checking: flat CSR kernels over digit rows.
 
 The delta pipeline (:mod:`repro.checker.collective`) made collective
 checking incremental; this module makes the increments cheap.  Instead of
 per-execution dict-keyed adjacency and per-signature mixed-radix decode,
 a :class:`PackedPlan` compiles the whole sorted unique-signature block
-once per campaign into flat arrays:
+once per campaign into flat integer lists:
 
 * the **edge universe** — every (src, dst) pair any execution of the
   program can contribute (static edges plus the per-load rf/fr candidate
   table from :meth:`GraphBuilder.load_edge_table`) — indexed ``0..E-1``
-  with int32 endpoint arrays and a CSR-style ``offsets/targets`` layout
-  grouped by source vertex;
-* the **digits matrix** — the block of signatures decoded at once into
-  per-load mixed-radix digits (vectorized under numpy, plain loops in
-  the pure-``array`` fallback), so ``word_changes`` between neighbours
-  becomes a column diff; and
+  with endpoint lists and a CSR-style ``offsets/targets`` layout grouped
+  by source vertex;
+* the **digit rows** — the block of signatures decoded into per-load
+  mixed-radix digits, so ``word_changes`` between neighbours becomes a
+  column diff; and
 * per-step **edge tapes** — for each signature-adjacent step, the edge
   indices whose refcount drops/rises, precompiled from the digit diffs.
 
@@ -34,25 +33,16 @@ size.  Verdicts, witnesses and ``sorted_vertices`` accounting are
 byte-identical to ``check_deltas`` / legacy ``check`` — the same summary
 dict, property-tested three ways.
 
-The plan also computes a **similarity (bucket) ordering** of the block —
-a radix-style lexicographic sort under a digit-column permutation that
-orders columns by ascending candidate fan-out — quantifying how much the
-paper's signature sort already buys and how much a similarity-aware
-order would shrink the digit deltas.  The checked order itself stays the
-ascending signature sort: byte-identity pins the per-index verdict
-methods, so the bucket order is reported (``similarity`` stats, bench
-columns), not silently substituted.
-
-numpy is optional (the ``[perf]`` extra): with it, block decode, the
-similarity sort and the order/position rewrites vectorize; without it,
-the same kernels run over plain lists and ``array('i')`` rows.  Both
-backends produce identical reports; ``REPRO_PACKED_BACKEND=array``
-forces the fallback.
+The checked order is the paper's ascending signature sort and nothing
+else.  How much a different, similarity-aware order would shrink the
+digit deltas is a study, not a checking step: see
+:func:`repro.analysis.similarity.digit_similarity` over
+:attr:`PackedPlan.digit_rows`.  The module is pure Python (lists,
+``bytes`` and ``array('i')`` scratch); it imports no optional package.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 
 from repro.checker.collective import CollectiveChecker
@@ -68,39 +58,9 @@ from repro.graph.delta import DeltaGraphState
 from repro.graph.toposort import find_cycle
 from repro.obs import get_obs
 
-#: environment override: "array" forces the pure-``array`` backend even
-#: when numpy is importable (CI runs the packed suite both ways)
-_BACKEND_ENV = "REPRO_PACKED_BACKEND"
-
-# Above this many unique signatures the greedy similarity chain (quadratic
-# in block size) is skipped and the bucket order stays the sorted order.
-_GREEDY_CAP = 4096
-
-
-def _numpy():
-    """The numpy module, or None when it is not installed.
-
-    Imported on first use, not at module load: processes that never
-    build a numpy plan (the default delta pipeline among them) skip its
-    import cost.
-    """
-    try:
-        import numpy
-    except ImportError:  # pure-array fallback keeps the pipeline available
-        return None
-    return numpy
-
-
-def default_backend() -> str:
-    """The backend a plan built without an explicit choice will use."""
-    forced = os.environ.get(_BACKEND_ENV, "").strip().lower()
-    if forced in ("array", "numpy"):
-        return forced
-    return "numpy" if _numpy() is not None else "array"
-
 
 class PackedPlan:
-    """A sorted unique-signature block compiled to flat checking arrays.
+    """A sorted unique-signature block compiled to flat checking lists.
 
     Built once per campaign (construction cost is O(block); the paper's
     per-execution checking loop never touches Python object graphs
@@ -112,27 +72,15 @@ class PackedPlan:
         codec: the campaign's :class:`SignatureCodec`.
         builder: a static-ws :class:`GraphBuilder` over the same program.
         signatures: unique signatures in ascending (checking) order.
-        backend: ``"numpy"``, ``"array"`` or None (auto: numpy when
-            importable, honouring ``REPRO_PACKED_BACKEND``).
     """
 
-    def __init__(self, codec, builder, signatures, backend: str = None):
+    def __init__(self, codec, builder, signatures):
         if builder.ws_mode != "static":
-            raise CheckerError("delta checking requires static ws_mode "
+            raise CheckerError("packed checking requires static ws_mode "
                                "(observed graphs are not a function of the "
                                "signature alone)")
         if builder.program is not codec.program:
             raise CheckerError("codec and builder must share one program")
-        if backend is None:
-            backend = default_backend()
-        if backend not in ("numpy", "array"):
-            raise CheckerError("packed backend must be 'numpy' or 'array'; "
-                               "got %r" % (backend,))
-        if backend == "numpy" and _numpy() is None:
-            raise CheckerError("the numpy packed backend needs numpy "
-                               "(install the [perf] extra) — set "
-                               "%s=array for the fallback" % _BACKEND_ENV)
-        self.backend = backend
         self.codec = codec
         self.builder = builder
         self.signatures = list(signatures)
@@ -144,15 +92,13 @@ class PackedPlan:
             self._decode_block()
             self._build_tapes()
             self._build_base()
-            self._build_similarity()
         else:
             self._empty_block()
 
         get_obs().emit("checker.packed.plan",
                        signatures=len(self.signatures),
-                       backend=self.backend,
                        edge_universe=self.num_edges,
-                       digit_columns=len(self._col_specs))
+                       digit_columns=self.digit_columns)
 
     # -- compilation ------------------------------------------------------------
 
@@ -161,7 +107,7 @@ class PackedPlan:
 
         Column order is thread order then program order within the
         thread — the same order :meth:`ThreadWeightTable.decode` peels
-        digits, so a digits-matrix row round-trips to ``codec.decode``.
+        digits, so a digit row round-trips to ``codec.decode``.
         Single-candidate slots always decode to digit 0; their (constant)
         edges fold into the universe's base refcounts instead.
         """
@@ -194,8 +140,8 @@ class PackedPlan:
         builder = self.builder
         builder.load_edge_table(self.codec.candidates)
         pair_index: dict = {}
-        esrc = array("i")
-        edst = array("i")
+        esrc: list = []
+        edst: list = []
         base_counts: list = []
 
         def edge_id(pair):
@@ -220,85 +166,56 @@ class PackedPlan:
         ]
         self.esrc = esrc
         self.edst = edst
-        self._esrc_list = esrc.tolist()
-        self._edst_list = edst.tolist()
         self._base_counts = base_counts
 
         # CSR by source vertex: edge ids (and their targets) of all
         # universe edges leaving each vertex, offsets indexed by vertex
         by_src: list = [[] for _ in range(self.num_vertices)]
-        for e in range(len(base_counts)):
-            by_src[esrc[e]].append(e)
-        csr_eidx = array("i")
-        csr_dst = array("i")
-        csr_off = array("i", [0])
+        for e, src in enumerate(esrc):
+            by_src[src].append(e)
+        csr_eidx: list = []
+        csr_off = [0]
         for edges in by_src:
-            for e in edges:
-                csr_eidx.append(e)
-                csr_dst.append(edst[e])
+            csr_eidx.extend(edges)
             csr_off.append(len(csr_eidx))
         self.csr_off = csr_off
         self.csr_eidx = csr_eidx
-        self.csr_dst = csr_dst
-        self._csr_off_list = csr_off.tolist()
-        self._csr_eidx_list = csr_eidx.tolist()
-        self._csr_dst_list = csr_dst.tolist()
+        self.csr_dst = [edst[e] for e in csr_eidx]
 
     def _decode_block(self) -> None:
-        """Batched mixed-radix decode of the whole block into digit rows.
+        """Mixed-radix decode of the whole block into digit rows.
 
-        The numpy backend decodes every column of the block at once
-        (``uint64`` — 64-bit-register words exceed int64) and validates
-        by reconstructing the word matrix from the digits: a word is in
-        range iff its digit expansion sums back to it exactly, mirroring
-        the per-signature range check of :meth:`ThreadWeightTable.decode`.
+        Each row is validated by reconstructing its words from the
+        digits: a word is in range iff its digit expansion sums back to
+        it exactly, mirroring the per-signature range check of
+        :meth:`ThreadWeightTable.decode`.
         """
-        sigs = self.signatures
         tables = self.codec.tables
-        for i, sig in enumerate(sigs):
+        specs = self._col_specs
+        rows = []
+        for i, sig in enumerate(self.signatures):
             if len(sig.words) != len(tables) or any(
                     len(tw) != table.num_words
                     for table, tw in zip(tables, sig.words)):
                 raise SignatureError(
                     "signature %d has mismatched thread sections: %s"
                     % (i, sig))
-        specs = self._col_specs
-        if self.backend == "numpy":
-            np = _numpy()
-            words = np.array([sig.flat for sig in sigs], dtype=np.uint64)
-            digits = np.empty((len(sigs), len(specs)), dtype=np.uint64)
-            recon = np.zeros_like(words)
-            for c, (wc, mult, ncand) in enumerate(specs):
-                col = (words[:, wc] // np.uint64(mult)) % np.uint64(ncand)
-                digits[:, c] = col
-                recon[:, wc] += col * np.uint64(mult)
-            if not np.array_equal(recon, words):
-                bad = int(np.nonzero((recon != words).any(axis=1))[0][0])
+            flat = sig.flat
+            recon = [0] * self.total_words
+            row = []
+            for wc, mult, ncand in specs:
+                d = (flat[wc] // mult) % ncand
+                row.append(d)
+                recon[wc] += d * mult
+            if tuple(recon) != flat:
                 raise SignatureError(
-                    "signature %d (%s) is outside the mixed-radix range "
-                    "of its weight tables" % (bad, sigs[bad]))
-            self._digits_np = digits
-            self._digit_rows = [[int(d) for d in row] for row in digits]
-        else:
-            rows = []
-            for i, sig in enumerate(sigs):
-                flat = sig.flat
-                recon = [0] * self.total_words
-                row = []
-                for wc, mult, ncand in specs:
-                    d = (flat[wc] // mult) % ncand
-                    row.append(d)
-                    recon[wc] += d * mult
-                if tuple(recon) != flat:
-                    raise SignatureError(
-                        "signature %d (%s) is outside the mixed-radix "
-                        "range of its weight tables" % (i, sig))
-                rows.append(row)
-            self._digits_np = None
-            self._digit_rows = rows
+                    "signature %d (%s) is outside the mixed-radix "
+                    "range of its weight tables" % (i, sig))
+            rows.append(row)
+        self.digit_rows = rows
 
     def _build_tapes(self) -> None:
-        """Per-step edge tapes from the vectorized column diff.
+        """Per-step edge tapes from the column diff of adjacent rows.
 
         For checked index ``i >= 1``, ``rem_flat[rem_off[i]:rem_off[i+1]]``
         holds the edge ids whose refcount drops by one (the old digit's
@@ -306,18 +223,16 @@ class PackedPlan:
         digit's pairs — the exact multisets ``SignatureDeltaSource``
         feeds ``DeltaGraphState.apply_pairs``, flattened.
         """
-        rows = self._digit_rows
-        n = len(rows)
+        rows = self.digit_rows
         col_edges = self._col_edges
-        rem_flat = array("i")
-        add_flat = array("i")
+        rem_flat: list = []
+        add_flat: list = []
         # offsets are indexed by *checked index*: index 0 has no tape, so
         # its empty slice is the leading [0, 0]; step i-1 lands at slot i
-        rem_off = array("i", [0, 0])
-        add_off = array("i", [0, 0])
+        rem_off = [0, 0]
+        add_off = [0, 0]
         digits_changed = 0
-        for step in range(n - 1):
-            old, new = rows[step], rows[step + 1]
+        for old, new in zip(rows, rows[1:]):
             for c, edges_by_digit in enumerate(col_edges):
                 od, nd = old[c], new[c]
                 if od != nd:
@@ -333,13 +248,6 @@ class PackedPlan:
         self.digits_changed_total = digits_changed
         self.edges_removed_total = len(rem_flat)
         self.edges_added_total = len(add_flat)
-        # list mirrors: CPython list indexing beats array('i') in the
-        # replay loop, and converting once here keeps check() allocation-
-        # free apart from its own mutable state
-        self._rem_flat_list = rem_flat.tolist()
-        self._add_flat_list = add_flat.tolist()
-        self._rem_off_list = rem_off.tolist()
-        self._add_off_list = add_off.tolist()
 
     def _build_base(self) -> None:
         """Initial refcounts/live flags and the index-0 adjacency.
@@ -350,12 +258,11 @@ class PackedPlan:
         identical — built here once from the same pair stream.
         """
         counts = list(self._base_counts)
-        row0 = self._digit_rows[0]
+        row0 = self.digit_rows[0]
         for c, edges_by_digit in enumerate(self._col_edges):
             for e in edges_by_digit[row0[c]]:
                 counts[e] += 1
-        self.counts0 = array("i", counts)
-        self._counts0_list = counts
+        self.counts0 = counts
         self.live0 = bytes(1 if c else 0 for c in counts)
         rf0 = self.codec.decode(self.signatures[0])
         self.initial_adjacency = DeltaGraphState(
@@ -374,89 +281,19 @@ class PackedPlan:
             for pos, v in enumerate(self.base_order):
                 self.base_position[v] = pos
 
-    def _build_similarity(self) -> None:
-        """Greedy similarity (bucket) ordering of the block, and its yield.
-
-        Each row's digits are one-hot packed into a single big integer —
-        one bit lane per (column, digit) — so the number of agreeing
-        digits between two rows is ``popcount(mask_a & mask_b)``.  A
-        greedy nearest-neighbour chain starting from the first sorted
-        row then always visits the unvisited row sharing the most digits
-        with the current one (ties to the lowest index, so the order is
-        deterministic and backend-independent).  On the fig09 corpus
-        this cuts adjacent digit transitions 30-45% below the ascending
-        signature sort, unlike any fixed-column radix permutation.
-        Reported as ``similarity`` stats and exposed as
-        :attr:`bucket_order`; the checked order stays the ascending
-        signature sort (byte-identity pins per-index verdicts).  Blocks
-        larger than ``_GREEDY_CAP`` keep the sorted order (the chain is
-        quadratic in the number of unique signatures).
-        """
-        ncols = len(self._col_specs)
-        rows = self._digit_rows
-        n = len(rows)
-        if 1 < n <= _GREEDY_CAP and ncols:
-            lane = []
-            bit = 0
-            for _, _, fan in self._col_specs:
-                lane.append(bit)
-                bit += fan
-            masks = [0] * n
-            for i, row in enumerate(rows):
-                m = 0
-                for c in range(ncols):
-                    m |= 1 << (lane[c] + row[c])
-                masks[i] = m
-            bucket = [0]
-            remaining = list(range(1, n))
-            cur = masks[0]
-            while remaining:
-                best_k = 0
-                best_match = -1
-                for k, i in enumerate(remaining):
-                    match = bin(cur & masks[i]).count("1")
-                    if match > best_match:
-                        best_match = match
-                        best_k = k
-                nxt = remaining.pop(best_k)
-                bucket.append(nxt)
-                cur = masks[nxt]
-        else:
-            bucket = list(range(n))
-        changed = 0
-        for a, b in zip(bucket, bucket[1:]):
-            ra, rb = rows[a], rows[b]
-            for c in range(ncols):
-                if ra[c] != rb[c]:
-                    changed += 1
-        self.bucket_order = bucket
-        self.similarity = {
-            "signatures": n,
-            "digit_columns": ncols,
-            "sorted_digits_changed": self.digits_changed_total,
-            "bucket_digits_changed": changed,
-        }
-
     def _empty_block(self) -> None:
-        self._digits_np = None
-        self._digit_rows = []
-        self.rem_flat = self.add_flat = array("i")
-        self.rem_off = self.add_off = array("i", [0])
-        self._rem_flat_list = self._add_flat_list = []
-        self._rem_off_list = self._add_off_list = [0]
+        self.digit_rows = []
+        self.rem_flat = []
+        self.add_flat = []
+        self.rem_off = [0]
+        self.add_off = [0]
         self.digits_changed_total = 0
         self.edges_removed_total = self.edges_added_total = 0
-        self.counts0 = array("i")
-        self._counts0_list = []
+        self.counts0 = []
         self.live0 = b""
         self.initial_adjacency = {}
         self.base_order = None
         self.base_position = None
-        self.bucket_order = []
-        self.similarity = {"signatures": 0,
-                           "digit_columns": len(self._col_specs),
-                           "sorted_digits_changed": 0,
-                           "bucket_digits_changed": 0}
 
     # -- graph-source protocol --------------------------------------------------
 
@@ -467,6 +304,11 @@ class PackedPlan:
     def num_edges(self) -> int:
         """Size of the edge universe (distinct pairs, all executions)."""
         return len(self.esrc)
+
+    @property
+    def digit_columns(self) -> int:
+        """Digits per row: one per multi-candidate load slot."""
+        return len(self._col_specs)
 
     def full_graph(self, index: int):
         """Materialize one execution's typed constraint graph.
@@ -482,7 +324,7 @@ class PackedChecker:
 
     Reproduces :meth:`CollectiveChecker.check_deltas` verdict for
     verdict — same methods, witnesses and ``sorted_vertices`` — from the
-    plan's flat arrays.  ``initial_key`` matches the delta/legacy
+    plan's flat lists.  ``initial_key`` matches the delta/legacy
     checkers' (streaming) first-sort tie-break hook.
     """
 
@@ -507,26 +349,21 @@ class PackedChecker:
             self._record_packed_metrics(obs, report, plan)
         return report
 
-    # -- replay loop (backend-independent) --------------------------------------
+    # -- replay loop ---------------------------------------------------------------
     #
     # Scalar indexing dominates the checking loop, and CPython lists beat
-    # numpy arrays at scalar reads on every fig09 config (numpy's win is
-    # the *plan* build: batched signature decode and the similarity
-    # lexsort).  So there is exactly one replay loop, shared by both plan
-    # backends, operating on plain lists/bytearrays.
+    # array('i') at scalar reads, so the plan stores plain lists and the
+    # loop binds each one to a local once.
 
     def _check_loop(self, plan: PackedPlan, report: CheckReport) -> None:
         num_vertices = plan.num_vertices
         vertices = range(num_vertices)
-        esrc, edst = plan._esrc_list, plan._edst_list
-        csr_off = plan._csr_off_list
-        csr_eidx = plan._csr_eidx_list
-        csr_dst = plan._csr_dst_list
-        rem_flat = plan._rem_flat_list
-        add_flat = plan._add_flat_list
-        rem_off, add_off = plan._rem_off_list, plan._add_off_list
+        esrc, edst = plan.esrc, plan.edst
+        csr_off, csr_eidx, csr_dst = plan.csr_off, plan.csr_eidx, plan.csr_dst
+        rem_flat, add_flat = plan.rem_flat, plan.add_flat
+        rem_off, add_off = plan.rem_off, plan.add_off
 
-        counts = plan._counts0_list.copy()
+        counts = plan.counts0.copy()
         live = bytearray(plan.live0)
         position = [0] * num_vertices
         order = None
@@ -652,8 +489,6 @@ class PackedChecker:
         metrics.counter("checker.packed.edges_removed").inc(
             report.edges_removed)
         metrics.gauge("checker.packed.edge_universe").set(plan.num_edges)
-        metrics.gauge("checker.packed.bucket_digits_changed").set(
-            plan.similarity["bucket_digits_changed"])
         window_hist = metrics.histogram("checker.packed.window_size")
         for verdict in report.verdicts:
             if verdict.method == INCREMENTAL:

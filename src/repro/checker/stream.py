@@ -218,15 +218,13 @@ class StreamingCollectiveChecker:
         ``pipeline="poly"`` finalizes through the frontier-closure
         family (:class:`~repro.checker.poly.PolyChecker`): identical
         violation verdicts, family-specific method statistics.
-        ``pipeline="auto"`` resolves to the cheapest backend for the
-        block's shape.
+        ``pipeline="auto"`` is an alias of ``"packed"``.
         """
         pool = self.signatures if signatures is None else signatures
         block = sorted(set(pool))
         if pipeline == "auto":
             from repro.checker.dispatch import choose_pipeline
-            pipeline = choose_pipeline(len(block),
-                                       self.builder.program.num_ops)
+            pipeline = choose_pipeline(self.builder.ws_mode)
         if pipeline == "packed":
             from repro.checker.packed import PackedChecker, PackedPlan
             plan = PackedPlan(self.codec, self.builder, block)

@@ -11,8 +11,8 @@ Commands mirror the paper's flow so each stage can run standalone:
 * ``check`` — load a signature dump, decode, build graphs, and run the
   collective checker (the host side); ``--check-pipeline`` selects the
   streaming ``delta`` pipeline (default), the array-compiled ``packed``
-  pipeline, the frontier-closure ``poly`` family, the shape-dispatched
-  ``auto`` or the legacy ``graphs`` path (``run`` and ``suite`` accept
+  pipeline, the frontier-closure ``poly`` family, ``auto`` (an alias
+  of ``packed``) or the legacy ``graphs`` path (``run`` and ``suite`` accept
   the same switch for their checking stage; the choices come from the
   :data:`repro.checker.PIPELINES` registry),
 * ``suite`` — run a multi-test suite (the paper's per-configuration
@@ -1082,7 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="finalize (drain) replay pipeline: streaming "
                         "'delta' (default), the array-compiled 'packed' "
                         "core, the frontier-closure 'poly' family or "
-                        "shape-dispatched 'auto' — identical violation "
+                        "'auto' (alias of 'packed') — identical violation "
                         "verdicts (the legacy graphs path never streams)")
     p.add_argument("--progress", action="store_true",
                    help="draw live per-session progress rows on stderr")
@@ -1184,15 +1184,15 @@ def _add_pipeline_argument(parser: argparse.ArgumentParser) -> None:
                              "(default) streams incremental signature "
                              "decodes and edge deltas, never holding more "
                              "than one full graph; 'packed' compiles the "
-                             "block into flat arrays (CSR edge universe, "
-                             "batched decode) and replays it — fastest; "
+                             "block into flat lists (CSR edge universe, "
+                             "digit rows, edge tapes) and replays them; "
                              "'poly' verifies each signature by frontier "
                              "closure (independent algorithm family, no "
-                             "constraint graph); 'auto' picks the cheapest "
-                             "backend for the block's shape from the "
-                             "pinned cost model; 'graphs' materializes "
-                             "every constraint graph first (legacy path; "
-                             "--ws-mode observed always uses it)")
+                             "constraint graph); 'auto' is an alias of "
+                             "'packed' (kept for one release); 'graphs' "
+                             "materializes every constraint graph first "
+                             "(legacy path; --ws-mode observed always "
+                             "uses it)")
 
 
 def _add_cross_check_argument(parser: argparse.ArgumentParser) -> None:

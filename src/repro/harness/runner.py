@@ -390,7 +390,7 @@ class Campaign:
                 the checker; ``"graphs"`` materializes every graph
                 first; ``"packed"`` compiles the block into flat arrays
                 and replays it; ``"poly"`` runs the frontier-closure
-                family; ``"auto"`` dispatches on workload shape.  See
+                family; ``"auto"`` is an alias of ``"packed"``.  See
                 :func:`check_campaign_result`.
         """
         return check_campaign_result(result, self.model, ws_mode=ws_mode,
@@ -423,8 +423,8 @@ def check_campaign_result(result: CampaignResult, model: MemoryModel = None,
             the array-kernel checker; ``"poly"`` decodes each signature
             and runs an independent frontier-closure verification (no
             constraint graph, no topological sort — the second algorithm
-            family); ``"auto"`` resolves to the cheapest backend for the
-            block's shape via :func:`repro.checker.choose_pipeline`.
+            family); ``"auto"`` is an alias that resolves to ``"packed"``
+            via :func:`repro.checker.choose_pipeline`.
             Violation verdicts are identical in all of them; the
             graph-family pipelines additionally share the full report
             summary byte for byte.  ``ws_mode="observed"`` graphs depend
@@ -444,8 +444,7 @@ def check_campaign_result(result: CampaignResult, model: MemoryModel = None,
     with obs.span("check"):
         signatures = result.sorted_signatures()
         if pipeline == "auto":
-            pipeline = choose_pipeline(len(signatures),
-                                       result.program.num_ops, ws_mode)
+            pipeline = choose_pipeline(ws_mode)
         if pipeline == "poly":
             source = PolySignatureSource(result.codec, model, signatures)
             outcome = CheckOutcome(

@@ -82,10 +82,17 @@ def dump_program(program: TestProgram) -> dict:
 
 
 def load_program(doc: dict) -> TestProgram:
-    try:
-        return assemble(doc["listing"], name=doc.get("name", ""))
-    except KeyError as exc:
-        raise FormatError("program document missing %s" % exc) from None
+    if not isinstance(doc, dict):
+        raise FormatError("program document must be an object, not %s"
+                          % type(doc).__name__)
+    if "listing" not in doc:
+        raise FormatError("program document missing 'listing'")
+    listing, name = doc["listing"], doc.get("name", "")
+    for key, value in (("listing", listing), ("name", name)):
+        if not isinstance(value, str):
+            raise FormatError("program document %r must be a string, not %s"
+                              % (key, type(value).__name__))
+    return assemble(listing, name=name)
 
 
 def _signature_to_list(signature: Signature) -> list:
@@ -101,13 +108,26 @@ def signature_to_entry(signature: Signature, count: int = 1) -> dict:
     return {"words": _signature_to_list(signature), "count": int(count)}
 
 
-def signature_from_entry(entry: dict) -> tuple:
-    """Decode one signature entry; returns ``(signature, count)``."""
+def signature_from_entry(entry: dict, default_count: int = 1) -> tuple:
+    """Decode one signature entry; returns ``(signature, count)``.
+
+    A missing ``count`` means ``default_count``; pass None to require it.
+    """
+    if not isinstance(entry, dict):
+        raise FormatError("bad signature entry: expected an object, not %s"
+                          % type(entry).__name__)
+    if "words" not in entry:
+        raise FormatError("bad signature entry: missing 'words'")
+    if default_count is None and "count" not in entry:
+        raise FormatError("bad signature entry: missing 'count'")
     try:
-        return (_signature_from_list(entry["words"]),
-                int(entry.get("count", 1)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError("bad signature entry: %s" % (exc,)) from None
+        signature = _signature_from_list(entry["words"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError("bad signature entry 'words': %s" % (exc,)) from None
+    try:
+        return signature, int(entry.get("count", default_count))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError("bad signature entry 'count': %s" % (exc,)) from None
 
 
 def dump_campaign(result: CampaignResult, include_ws: bool = True,
@@ -167,25 +187,42 @@ def load_campaign(text: str) -> CampaignResult:
     doc = parse_json_payload(text, what="campaign dump")
     if doc.get("format") != _FORMAT_VERSION:
         raise FormatError("unsupported dump format %r" % doc.get("format"))
+    for key in ("program", "signatures"):
+        if key not in doc:
+            raise FormatError("campaign dump missing %r" % key)
+    if not isinstance(doc["signatures"], list):
+        raise FormatError("campaign dump 'signatures' must be a list")
+    width = doc.get("register_width")
+    if type(width) is not int or width <= 0:
+        raise FormatError("campaign dump 'register_width' must be a "
+                          "positive integer, not %r" % (width,))
     program = load_program(doc["program"])
-    codec = SignatureCodec(program, doc["register_width"])
+    codec = SignatureCodec(program, width)
     result = CampaignResult(program, codec, iterations=doc.get("iterations", 0))
     result.crashes = doc.get("crashes", 0)
     result.skipped_iterations = doc.get("skipped_iterations", 0)
     result.signature_asserts = doc.get("signature_asserts", 0)
     counts = Counter()
     for entry in doc["signatures"]:
-        signature = _signature_from_list(entry["words"])
-        counts[signature] = int(entry["count"])
-        rf = codec.decode(signature)
-        ws = {int(addr): [int(u) for u in chain]
-              for addr, chain in entry.get("ws", {}).items()} or None
-        if ws is not None:
-            result.representatives[signature] = Execution(rf, ws)
-        else:
-            result.representatives[signature] = Execution(rf, {})
+        signature, count = signature_from_entry(entry, default_count=None)
+        counts[signature] = count
+        result.representatives[signature] = Execution(
+            codec.decode(signature), _ws_from_entry(entry))
     result.signature_counts = counts
     return result
+
+
+def _ws_from_entry(entry: dict) -> dict:
+    """An entry's observed coherence orders (``{}`` when not dumped)."""
+    ws = entry.get("ws", {})
+    if not isinstance(ws, dict):
+        raise FormatError("signature entry 'ws' must be an object, not %s"
+                          % type(ws).__name__)
+    try:
+        return {int(addr): [int(u) for u in chain]
+                for addr, chain in ws.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError("bad signature entry 'ws': %s" % (exc,)) from None
 
 
 def save_campaign(result: CampaignResult, path, include_ws: bool = True) -> None:

@@ -255,8 +255,10 @@ def collect_check_counts(config_names, iterations: int, seed: int,
 
     Mirrors ``benchmarks/bench_fig09`` / ``delta_guard``: seeded pure
     Python end to end, so every leaf is bit-reproducible.  The
-    ``packed`` pipeline adds its plan-level counts (edge-universe size
-    and similarity-ordering yield), matching ``bench_packed``; the
+    ``packed`` pipeline adds its plan-level counts (edge-universe size)
+    and the similarity-ordering yield of
+    :func:`repro.analysis.similarity.digit_similarity`, matching
+    ``bench_packed``; the
     ``poly`` pipeline adds its closure-effort counts (rule applications
     and dynamic ordering facts), matching ``bench_poly``.
     """
@@ -281,14 +283,16 @@ def collect_check_counts(config_names, iterations: int, seed: int,
             "edges_removed": report.edges_removed,
         }
         if pipeline == "packed":
+            from repro.analysis.similarity import digit_similarity
+
             plan = outcome.source
+            similarity = digit_similarity(plan.digit_rows,
+                                          plan.digit_columns)
             counts[name].update(
                 edge_universe=plan.num_edges,
-                digit_columns=plan.similarity["digit_columns"],
-                sorted_digits_changed=plan.similarity[
-                    "sorted_digits_changed"],
-                bucket_digits_changed=plan.similarity[
-                    "bucket_digits_changed"])
+                digit_columns=similarity["digit_columns"],
+                sorted_digits_changed=similarity["sorted_digits_changed"],
+                bucket_digits_changed=similarity["bucket_digits_changed"])
         if pipeline == "poly":
             source = outcome.source
             counts[name].update(

@@ -118,7 +118,6 @@ _kind("checker.delta.plan", RUN,
 _kind("checker.packed.plan", RUN,
       "A packed plan was compiled over a sorted signature block.",
       ("signatures", "unique signatures the plan covers"),
-      ("backend", "array kernel backend (numpy/array)"),
       ("edge_universe", "distinct constraint-edge pairs any execution "
                         "can contribute"),
       ("digit_columns", "multi-candidate load slots (signature digits)"))

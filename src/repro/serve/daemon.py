@@ -78,7 +78,7 @@ class ServeConfig:
     #: batches with at least this many entries check on the pool
     offload: int = 512
     #: finalize pipeline: "delta" (default), array-compiled "packed",
-    #: frontier-closure "poly" or shape-dispatched "auto"
+    #: frontier-closure "poly" or "auto" (an alias of "packed")
     #: (:data:`repro.checker.SERVE_PIPELINES`)
     check_pipeline: str = "delta"
 

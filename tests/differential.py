@@ -33,15 +33,6 @@ from repro.instrument import SignatureCodec
 from repro.sim import OperationalExecutor, platform_for_isa
 from repro.testgen import generate
 
-try:
-    import numpy  # noqa: F401  (backend availability probe)
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-#: the numpy rows drop out when only the fallback backend is installed
-BACKENDS = ("numpy", "array") if HAVE_NUMPY else ("array",)
-
 #: pipelines whose reports must agree byte-for-byte (one algorithm family)
 GRAPH_FAMILY = ("graphs", "delta", "packed")
 #: every batch pipeline of the differential contract
@@ -78,10 +69,9 @@ def reference_reports(program, codec, signatures, model):
             CollectiveChecker().check_deltas(source))
 
 
-def packed_report(program, codec, signatures, model, backend=None,
-                  initial_key=None):
+def packed_report(program, codec, signatures, model, initial_key=None):
     plan = PackedPlan(codec, GraphBuilder(program, model, ws_mode="static"),
-                      signatures, backend=backend)
+                      signatures)
     return PackedChecker(initial_key).check(plan), plan
 
 
@@ -90,8 +80,7 @@ def poly_report(program, codec, signatures, model):
     return PolyChecker().check(source), source
 
 
-def pipeline_report(pipeline, program, codec, signatures, model,
-                    backend=None):
+def pipeline_report(pipeline, program, codec, signatures, model):
     """One pipeline's collective report over a sorted signature block."""
     if pipeline == "graphs":
         builder = GraphBuilder(program, model, ws_mode="static")
@@ -102,8 +91,7 @@ def pipeline_report(pipeline, program, codec, signatures, model,
         return CollectiveChecker().check_deltas(
             SignatureDeltaSource(codec, builder, signatures))
     if pipeline == "packed":
-        return packed_report(program, codec, signatures, model,
-                             backend=backend)[0]
+        return packed_report(program, codec, signatures, model)[0]
     if pipeline == "poly":
         return poly_report(program, codec, signatures, model)[0]
     raise ValueError("unknown differential pipeline %r" % (pipeline,))
@@ -129,12 +117,11 @@ def assert_poly_witnesses_render(program, codec, signatures, model, report):
 
 
 def assert_differential_contract(program, codec, signatures, model,
-                                 pipelines=ALL_PIPELINES, backend=None,
+                                 pipelines=ALL_PIPELINES,
                                  expect_violations=None):
     """Run every pipeline over one block and assert the agreement
     contract; returns the per-pipeline report dict for extra checks."""
-    reports = {p: pipeline_report(p, program, codec, signatures, model,
-                                  backend=backend)
+    reports = {p: pipeline_report(p, program, codec, signatures, model)
                for p in pipelines}
     family = [reports[p] for p in pipelines if p in GRAPH_FAMILY]
     for other in family[1:]:

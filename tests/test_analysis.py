@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
+    digit_similarity,
     distance_matrix,
     estimated_signature_bits,
     estimated_signature_cardinality,
+    greedy_chain,
     k_medoids,
     limit_study,
     rf_distance,
     uniqueness,
 )
+from repro.analysis.similarity import _GREEDY_CAP
+from repro.checker import PackedPlan
+from repro.graph import GraphBuilder
 from repro.isa import INIT
 from repro.sim import OperationalExecutor
-from repro.mcm import SC
+from repro.mcm import SC, get_model
 from repro.testgen import TestConfig, generate
+from tests.differential import run_unique_signatures
 
 
 class TestRfDistance:
@@ -51,6 +57,52 @@ class TestRfDistance:
         m = distance_matrix(rfs)
         assert (m == m.T).all()
         assert (np.diag(m) == 0).all()
+
+
+def _plan(cfg, iterations):
+    program, codec, signatures = run_unique_signatures(cfg, iterations)
+    builder = GraphBuilder(program, get_model("weak"), ws_mode="static")
+    return PackedPlan(codec, builder, signatures)
+
+
+class TestDigitSimilarity:
+    def test_bucket_order_is_permutation(self):
+        plan = _plan(TestConfig(isa="arm", threads=2, ops_per_thread=20,
+                                addresses=8, seed=6), 150)
+        order = greedy_chain(plan.digit_rows)
+        assert order[0] == 0
+        assert sorted(order) == list(range(len(plan)))
+
+    def test_bucket_order_reduces_transitions(self):
+        # the greedy chain may only tie the sorted order on degenerate
+        # blocks; on a real campaign it must not be worse
+        plan = _plan(TestConfig(isa="arm", threads=3, ops_per_thread=30,
+                                addresses=8, seed=11), 300)
+        similarity = digit_similarity(plan.digit_rows, plan.digit_columns)
+        assert similarity["signatures"] == len(plan)
+        assert similarity["digit_columns"] == len(plan.digit_rows[0])
+        assert similarity["sorted_digits_changed"] == \
+            plan.digits_changed_total
+        assert similarity["bucket_digits_changed"] <= \
+            similarity["sorted_digits_changed"]
+
+    def test_chain_follows_most_shared_digits(self):
+        rows = [[0, 0, 0], [1, 1, 1], [0, 0, 1], [1, 1, 0]]
+        assert greedy_chain(rows) == [0, 2, 1, 3]
+        assert digit_similarity(rows, 3) == {
+            "signatures": 4, "digit_columns": 3,
+            "sorted_digits_changed": 8, "bucket_digits_changed": 4}
+
+    def test_single_and_empty_blocks(self):
+        assert greedy_chain([[1, 2]]) == [0]
+        assert digit_similarity([[1, 2]], 2)["bucket_digits_changed"] == 0
+        assert digit_similarity([], 5) == {
+            "signatures": 0, "digit_columns": 5,
+            "sorted_digits_changed": 0, "bucket_digits_changed": 0}
+
+    def test_large_blocks_keep_sorted_order(self):
+        rows = [[i % 2] for i in range(_GREEDY_CAP + 1)]
+        assert greedy_chain(rows) == list(range(len(rows)))
 
 
 class TestKMedoids:

@@ -6,7 +6,7 @@ exhaustively enumerable litmus outcome spaces, witness-cycle validity,
 the four-way differential contract on real and violating campaigns
 (via :mod:`tests.differential` — the shared fixture of the packed and
 delta suites), the runner/stream wiring of ``--check-pipeline poly``
-and ``auto``, and the cost-model dispatcher's invariants.
+and ``auto``, and what ``auto`` resolves to.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.checker import (
     PolySignatureSource,
     PolyVerifier,
     choose_pipeline,
-    estimate_costs,
     violation_digest,
 )
 from repro.checker.results import COMPLETE
@@ -286,8 +285,7 @@ class TestRunnerWiring:
                                      pipeline="auto")
         delta = check_campaign_result(result, campaign.model,
                                       pipeline="delta")
-        assert auto.pipeline in ("graphs", "delta", "packed", "poly")
-        assert auto.pipeline != "auto"
+        assert auto.pipeline == "packed"
         assert violation_digest(auto.collective) == \
             violation_digest(delta.collective)
 
@@ -311,31 +309,13 @@ class TestStreamFinalizeWiring:
             violation_digest(fed_checker.finalize())
 
     def test_finalize_auto_matches_delta_summary(self, fed_checker):
-        # auto resolves within the graph family (poly never wins the
-        # cost model), so full byte parity must hold
+        # auto resolves to packed, inside the graph family, so full
+        # byte parity must hold
         assert fed_checker.finalize(pipeline="auto").summary() == \
             fed_checker.finalize().summary()
 
 
 class TestDispatch:
-    def test_observed_ws_forces_graphs(self):
-        assert choose_pipeline(100, 100, ws_mode="observed") == "graphs"
-
-    def test_empty_block_stays_delta(self):
-        assert choose_pipeline(0, 500) == "delta"
-
-    def test_small_blocks_pick_delta(self):
-        assert choose_pipeline(2, 40) == "delta"
-
-    def test_large_blocks_pick_packed(self):
-        assert choose_pipeline(500, 400) == "packed"
-
-    def test_poly_is_never_the_fast_path(self):
-        for signatures in (1, 10, 100, 1000):
-            for vertices in (10, 100, 1000):
-                assert choose_pipeline(signatures, vertices) != "poly"
-
-    def test_costs_cover_every_batch_backend(self):
-        costs = estimate_costs(10, 100)
-        assert sorted(costs) == ["delta", "packed", "poly"]
-        assert all(c > 0 for c in costs.values())
+    def test_auto_resolves_to_packed_or_graphs(self):
+        assert choose_pipeline() == choose_pipeline("static") == "packed"
+        assert choose_pipeline("observed") == "graphs"

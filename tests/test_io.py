@@ -1,10 +1,12 @@
 """Unit tests for JSON persistence (device -> host signature transfer)."""
 
+import copy
 import json
 
 import pytest
 
 from repro import io as repro_io
+from repro.cli import main
 from repro.harness import Campaign
 from repro.testgen import TestConfig
 
@@ -141,3 +143,57 @@ class TestSignatureEntries:
                       {"words": [[1]], "count": "many"}):
             with pytest.raises(repro_io.FormatError):
                 repro_io.signature_from_entry(entry)
+
+
+def _drop(*path):
+    def mutate(doc):
+        *parents, key = path
+        for step in parents:
+            doc = doc[step]
+        del doc[key]
+    return mutate
+
+
+def _set(value, *path):
+    def mutate(doc):
+        *parents, key = path
+        for step in parents:
+            doc = doc[step]
+        doc[key] = value
+    return mutate
+
+
+#: structural mutants of a valid dump that once escaped as tracebacks
+DUMP_MUTANTS = {
+    "no-program": _drop("program"),
+    "no-signatures": _drop("signatures"),
+    "register-width-string": _set("x", "register_width"),
+    "register-width-null": _set(None, "register_width"),
+    "entry-without-count": _drop("signatures", 0, "count"),
+    "words-not-a-list": _set(5, "signatures", 0, "words"),
+    "ws-not-an-object": _set([1, 2], "signatures", 0, "ws"),
+    "program-not-an-object": _set([1], "program"),
+    "listing-not-a-string": _set(7, "program", "listing"),
+}
+
+
+class TestDumpBoundary:
+    @pytest.fixture(scope="class")
+    def valid_dump(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("dump") / "valid.json"
+        assert main(["run", "--threads", "2", "--ops", "10",
+                     "--addresses", "4", "--iterations", "30",
+                     "-o", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("mutant", sorted(DUMP_MUTANTS))
+    def test_check_exits_two_on_corrupt_dump(self, mutant, valid_dump,
+                                             tmp_path, capsys):
+        doc = copy.deepcopy(valid_dump)
+        DUMP_MUTANTS[mutant](doc)
+        path = tmp_path / "corrupt.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), err

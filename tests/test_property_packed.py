@@ -27,12 +27,6 @@ from repro.testgen import TestConfig, generate
 
 _MODELS = {"sc": SC, "tso": TSO, "weak": WEAK}
 
-try:
-    import numpy  # noqa: F401  (backend availability probe)
-    _BACKENDS = ["numpy", "array"]
-except ImportError:
-    _BACKENDS = ["array"]
-
 
 @st.composite
 def packed_case(draw):
@@ -47,14 +41,13 @@ def packed_case(draw):
     check_model = _MODELS[draw(st.sampled_from(sorted(_MODELS)))]
     width = draw(st.sampled_from([32, 64]))
     seed = draw(st.integers(0, 1000))
-    backend = draw(st.sampled_from(_BACKENDS))
-    return cfg, check_model, width, seed, backend
+    return cfg, check_model, width, seed
 
 
 @given(packed_case())
 @settings(max_examples=25, deadline=None)
 def test_packed_equals_delta_equals_legacy(case):
-    cfg, check_model, width, seed, backend = case
+    cfg, check_model, width, seed = case
     program = generate(cfg)
     codec = SignatureCodec(program, width)
     executor = OperationalExecutor(program, WEAK, seed=seed,
@@ -65,13 +58,12 @@ def test_packed_equals_delta_equals_legacy(case):
     legacy = CollectiveChecker().check(graphs)
     delta = CollectiveChecker().check_deltas(
         SignatureDeltaSource(codec, builder, signatures))
-    plan = PackedPlan(codec, builder, signatures, backend=backend)
+    plan = PackedPlan(codec, builder, signatures)
     packed = PackedChecker().check(plan)
     assert packed.summary() == delta.summary() == legacy.summary()
     assert (packed.digits_changed, packed.edges_added,
             packed.edges_removed) == \
            (delta.digits_changed, delta.edges_added, delta.edges_removed)
-    assert sorted(plan.bucket_order) == list(range(len(signatures)))
 
 
 @given(st.integers(0, 10_000))
