@@ -17,7 +17,6 @@ from repro.checker.poly import (
     PolyVerifier,
     violation_digest,
 )
-from repro.checker.polycross import PolyCrossCheckReport, cross_check_poly
 from repro.checker.results import (
     COMPLETE,
     INCREMENTAL,
@@ -27,6 +26,7 @@ from repro.checker.results import (
     describe_cycle,
 )
 from repro.checker.ws_inference import infer_constraint_graph
+from repro.feasible.crosscheck import PolyCrossCheckReport, cross_check_poly
 
 __all__ = [
     "COMPLETE",

@@ -28,13 +28,16 @@ families deciding the same predicate by different means
 (the RealityCheck posture — confidence comes from independent oracles
 agreeing, and a disagreement localizes a checker bug to one family).
 
-The ordering rules are re-derived here from the program and the model
-alone, mirroring :class:`repro.feasible.enumerator.FeasibilityOracle`:
-shared ground truth is limited to :meth:`MemoryModel.ppo_edges` and the
-codec's candidate/weight-table metadata.  Where PR 8's ``feasible``
-oracle is *static* (enumerate the whole outcome space, bounded),
-this pipeline is *dynamic*: one closure per observed signature, exact
-at any program size — it scales past enumerable signature spaces.
+The ordering rules come from :class:`repro.mcm.ConstraintRules`, the
+one derivation the graph builder and the feasible enumerator also
+consume; the two families share the rules and differ in the algorithm
+that decides them (frontier closure here, topological sort there).
+The rules themselves are pinned by hand-written tables and exhaustive
+litmus ground truth (``tests/test_mcm_rules.py``,
+``tests/test_poly_contract.py``).  Where the ``feasible`` oracle is
+*static* (enumerate the whole outcome space, bounded), this pipeline is
+*dynamic*: one closure per observed signature, exact at any program
+size — it scales past enumerable signature spaces.
 
 Family-specific statistics (``sorted_vertices``, verdict methods,
 re-sort windows) are meaningless here — nothing is ever sorted, every
@@ -53,9 +56,9 @@ from dataclasses import dataclass
 
 from repro.checker.results import COMPLETE, CheckReport, Verdict
 from repro.instrument.signature import SignatureCodec
-from repro.isa.instructions import INIT
 from repro.isa.program import TestProgram
 from repro.mcm.model import MemoryModel
+from repro.mcm.rules import ConstraintRules
 from repro.obs import get_obs
 
 
@@ -80,11 +83,11 @@ class ClosureOutcome:
 class PolyVerifier:
     """Frontier-closure verification for one (program, model) pair.
 
-    Derives the static-ws ordering rules from scratch — ppo facts from
-    the model, same-thread same-address store chains, per-choice rf/fr
-    facts — with its own bookkeeping (bitmask frontiers, a worklist
-    fixpoint) and no graph machinery, so it constitutes an independent
-    verdict oracle for the same predicate the graph family decides.
+    Reads its ordering facts from its own :class:`ConstraintRules`
+    instance — ppo and same-thread store chains statically, rf/fr per
+    reads-from choice — and decides them with bitmask frontiers and a
+    worklist fixpoint, no graph machinery: the same predicate the graph
+    family decides, by an independent algorithm.
 
     The static skeleton's closure is computed once at construction;
     :meth:`verify` copies it and folds in one execution's dynamic facts,
@@ -95,60 +98,16 @@ class PolyVerifier:
         self.program = program
         self.model = model
         self.num_ops = program.num_ops
-        pairs = []
-        for tp in program.threads:
-            for src, dst in model.ppo_edges(tp):
-                if src != dst:
-                    pairs.append((src, dst))
-        # statically-known coherence order, derived from scratch: program
-        # order among same-thread same-address stores, INIT before all
-        self._next_store: dict[int, int] = {}
-        self._first_stores: dict[int, list[int]] = {}
-        for tp in program.threads:
-            latest: dict[int, int] = {}
-            for op in tp.ops:
-                if not op.is_store:
-                    continue
-                prev = latest.get(op.addr)
-                if prev is not None:
-                    pairs.append((prev, op.uid))
-                    self._next_store[prev] = op.uid
-                else:
-                    self._first_stores.setdefault(op.addr, []).append(op.uid)
-                latest[op.addr] = op.uid
-        self.static_pairs: tuple = tuple(pairs)
+        self.rules = ConstraintRules(program, model)
+        self.static_pairs: tuple = self.rules.static_pairs
         successors: list[list[int]] = [[] for _ in range(self.num_ops)]
-        for u, v in pairs:
+        for u, v in self.static_pairs:
             successors[u].append(v)
         self._static_successors: list[tuple] = [tuple(s) for s in successors]
         frontiers = [0] * self.num_ops
         self._static_unions = self._close(
             frontiers, self._static_successors, range(self.num_ops))
         self._static_frontiers = frontiers
-
-    # -- ordering rules ---------------------------------------------------------------
-
-    def choice_pairs(self, load_uid: int, source) -> tuple:
-        """The ``before`` facts one reads-from choice induces.
-
-        INIT is coherence-first (the load precedes every thread's first
-        store to the address); a store source orders cross-thread rf
-        (store before load — same-thread forwarding carries no global
-        constraint, the paper's footnote 4) plus the from-read fact
-        (load before the source's coherence-next store).
-        """
-        load_op = self.program.op(load_uid)
-        if source == INIT:
-            return tuple((load_uid, st)
-                         for st in self._first_stores.get(load_op.addr, ()))
-        pairs = []
-        store_op = self.program.op(source)
-        if store_op.thread != load_op.thread:
-            pairs.append((source, load_uid))
-        follower = self._next_store.get(source)
-        if follower is not None:
-            pairs.append((load_uid, follower))
-        return tuple(pairs)
 
     # -- closure ----------------------------------------------------------------------
 
@@ -186,7 +145,7 @@ class PolyVerifier:
         dynamic: dict[int, list[int]] = {}
         dynamic_pairs = 0
         for load_uid in sorted(rf):
-            for u, v in self.choice_pairs(load_uid, rf[load_uid]):
+            for u, v in self.rules.choice_pairs(load_uid, rf[load_uid]):
                 dynamic.setdefault(u, []).append(v)
                 dynamic_pairs += 1
         static_successors = self._static_successors

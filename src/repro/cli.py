@@ -81,8 +81,8 @@ from repro.harness import Campaign, SuiteRunner, check_campaign_result, format_t
 from repro.feasible.enumerator import DEFAULT_BUDGET, DEFAULT_SAMPLES
 from repro.instrument import SignatureCodec, code_size, emit_listing, intrusiveness
 from repro.isa.assembler import assemble, disassemble
-from repro.mcm import get_model
-from repro.sim import OperationalExecutor, platform_for_isa
+from repro.mcm import get_model, model_for_register_width
+from repro.sim import OperationalExecutor
 from repro.testgen import TestConfig, generate
 from repro.testgen.litmus import all_litmus_tests, extended_litmus_tests
 
@@ -285,23 +285,20 @@ def _cmd_run(args) -> int:
 def _run_cross_check(kind, result, outcome, model):
     """Dispatch ``--cross-check`` to the selected independent oracle.
 
-    Both oracles return reports with the same surface (``summary_json``
-    / ``render`` / ``agreement``), so run/check handle them uniformly.
+    Both oracles return the same report surface (``summary_json`` /
+    ``render`` / ``agreement``), so run/check handle them uniformly.
     """
-    if kind == "poly":
-        from repro.checker import cross_check_poly
+    from repro.feasible import cross_check_outcome, cross_check_poly
 
-        return cross_check_poly(result, outcome, model)
-    from repro.feasible import cross_check_outcome
-
-    return cross_check_outcome(result, outcome, model)
+    cross_check = cross_check_poly if kind == "poly" else cross_check_outcome
+    return cross_check(result, outcome, model)
 
 
 def _cmd_check(args) -> int:
     handle = repro_obs.enable() if _metrics_wanted(args) else None
     result = repro_io.read_campaign(args.dump)
     config_model = get_model(args.model) if args.model else \
-        platform_for_isa("x86" if result.codec.register_width == 64 else "arm").memory_model
+        model_for_register_width(result.codec.register_width)
     outcome = check_campaign_result(result, config_model, ws_mode=args.ws_mode,
                                     baseline=False,
                                     pipeline=args.check_pipeline)

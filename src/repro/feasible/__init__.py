@@ -9,10 +9,11 @@ weight tables.  Three consumers:
   infeasible signature regions, feasible-set collapse, ineffective
   fences, budget-exceeded sampling;
 * **checker cross-oracle** — ``repro run --cross-check feasible``
-  (:mod:`repro.feasible.crosscheck`): every observed unique signature
-  must be a member of the static feasible set; a membership miss is a
-  hardware bug even if the constraint-graph checker passed, a checker
-  violation on a feasible signature is a checker bug;
+  (:mod:`repro.feasible.crosscheck`, which also carries the ``poly``
+  closure's cross-oracle): every observed unique signature must be a
+  member of the static feasible set; a membership miss is a hardware
+  bug even if the constraint-graph checker passed, a checker violation
+  on a feasible signature is a checker bug;
 * **coverage** — the ``observed/feasible`` ratio per program
   (``feasible.coverage.*`` gauges and the ``repro feasible`` CLI), the
   steering signal coverage-guided test generation needs.
@@ -25,9 +26,16 @@ from repro.feasible.crosscheck import (
     AGREE_VIOLATION,
     CHECKER_FALSE_ALARM,
     CHECKER_MISS,
+    POLY_FALSE_ALARM,
+    POLY_MISS,
     CrossCheckReport,
+    FeasibleCrossCheckReport,
+    OracleSpec,
+    PolyCrossCheckReport,
     SignatureVerdict,
     cross_check_outcome,
+    cross_check_poly,
+    signature_flagger,
 )
 from repro.feasible.enumerator import (
     DEFAULT_BUDGET,
@@ -47,9 +55,16 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DEFAULT_SAMPLES",
     "FeasibilityOracle",
+    "FeasibleCrossCheckReport",
     "FeasibleSet",
+    "OracleSpec",
+    "POLY_FALSE_ALARM",
+    "POLY_MISS",
+    "PolyCrossCheckReport",
     "SignatureVerdict",
     "cross_check_outcome",
+    "cross_check_poly",
     "enumerate_feasible",
     "signature_feasible",
+    "signature_flagger",
 ]

@@ -31,11 +31,13 @@ def feasible_markdown() -> str:
         "thread; an INIT reader precedes every thread's first store to "
         "the address.",
         "",
-        "These are the same semantics the graphs/delta checkers apply, "
-        "but *independently reimplemented* (own coherence bookkeeping, "
-        "own cycle detection, sharing only `ppo_edges` and the candidate "
-        "sets as ground truth) — the enumerator and the checkers can "
-        "genuinely disagree, so agreement is evidence, not tautology.",
+        "These are the rules every checker applies, derived once in "
+        "`repro.mcm.ConstraintRules` and pinned on their own by "
+        "hand-written and exhaustive litmus ground truth.  The enumerator "
+        "decides them with its own cycle detection (a three-colour DFS, "
+        "and a targeted reachability walk for prefix pruning), the graph "
+        "checkers by topological sort and the poly pipeline by frontier "
+        "closure — so a disagreement localizes a bug to one algorithm.",
         "",
         "The feasible **signature** set is the image of the feasible "
         "assignment set under the instrument weight tables; the mapping "

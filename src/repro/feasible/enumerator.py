@@ -15,12 +15,16 @@ seeded sample (``exhaustive=False``); per-signature *membership*
 (:func:`signature_feasible`) never samples — decode, derive, one
 acyclicity test — so the checker cross-oracle stays exact at any size.
 
-The constraint derivation and cycle detection here are deliberately an
-independent reimplementation of :mod:`repro.graph.builder` semantics
-(sharing only :meth:`MemoryModel.ppo_edges` and the candidate sets as
-ground truth): the enumerator and the graphs/delta checkers can
-genuinely disagree, which is what makes the cross-check a cross-oracle
-(ROADMAP item 3's disagreement contract) rather than a tautology.
+The constraint rules come from :class:`repro.mcm.ConstraintRules`, the
+one derivation every checker shares; the cycle tests here are the
+enumerator's own.  A three-colour DFS (:func:`_has_cycle`) decides one
+full assignment and a targeted reachability walk (:func:`_reaches`)
+prunes each prefix incrementally; both measured faster than the poly
+frontier closure, with identical verdicts, for membership tests and for
+pruned enumeration alike.  So the enumerator, the poly closure and the
+graphs' topological sort decide the same rules by three different
+algorithms, which is what keeps the cross-check a cross-oracle rather
+than a tautology.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ import random
 from dataclasses import dataclass
 
 from repro.instrument.signature import Signature, SignatureCodec
-from repro.isa.instructions import INIT
 from repro.isa.program import TestProgram
 from repro.mcm.model import MemoryModel
+from repro.mcm.rules import ConstraintRules
 from repro.obs import get_obs
 
 #: full enumeration runs only up to this many rf assignments
@@ -84,55 +88,16 @@ def _reaches(adjacency: dict, start: int, target: int) -> bool:
 class FeasibilityOracle:
     """The static-ws constraint system of one (program, model) pair.
 
-    Derives the same constraint semantics the checkers use — ppo edges
-    from the model, same-thread same-address store chains, cross-thread
-    rf, fr to the coherence-next store — with its own bookkeeping and
-    its own cycle detection, so it constitutes an independent oracle.
+    Holds its own :class:`ConstraintRules` instance and decides
+    acyclicity with its own cycle detection.
     """
 
     def __init__(self, program: TestProgram, model: MemoryModel):
         self.program = program
         self.model = model
         self.num_ops = program.num_ops
-        pairs = []
-        for tp in program.threads:
-            for src, dst in model.ppo_edges(tp):
-                if src != dst:
-                    pairs.append((src, dst))
-        # statically-known coherence order, derived from scratch: program
-        # order among same-thread same-address stores, INIT before all
-        self._next_store: dict[int, int] = {}
-        self._first_stores: dict[int, list[int]] = {}
-        for tp in program.threads:
-            latest: dict[int, int] = {}
-            for op in tp.ops:
-                if not op.is_store:
-                    continue
-                prev = latest.get(op.addr)
-                if prev is not None:
-                    pairs.append((prev, op.uid))
-                    self._next_store[prev] = op.uid
-                else:
-                    self._first_stores.setdefault(op.addr, []).append(op.uid)
-                latest[op.addr] = op.uid
-        self.static_pairs: tuple = tuple(pairs)
-
-    def choice_pairs(self, load_uid: int, source) -> tuple:
-        """The (src, dst) ordering pairs one reads-from choice induces."""
-        load_op = self.program.op(load_uid)
-        if source == INIT:
-            # INIT is coherence-first: the load precedes every thread's
-            # first store to the address
-            return tuple((load_uid, st)
-                         for st in self._first_stores.get(load_op.addr, ()))
-        pairs = []
-        store_op = self.program.op(source)
-        if store_op.thread != load_op.thread:
-            pairs.append((source, load_uid))
-        follower = self._next_store.get(source)
-        if follower is not None:
-            pairs.append((load_uid, follower))
-        return tuple(pairs)
+        self.rules = ConstraintRules(program, model)
+        self.static_pairs: tuple = self.rules.static_pairs
 
     def static_adjacency(self) -> dict:
         """Fresh adjacency holding only the static edges."""
@@ -145,7 +110,7 @@ class FeasibilityOracle:
         """Exact feasibility of one full reads-from assignment."""
         adjacency = self.static_adjacency()
         for load_uid, source in rf.items():
-            for u, v in self.choice_pairs(load_uid, source):
+            for u, v in self.rules.choice_pairs(load_uid, source):
                 adjacency.setdefault(u, []).append(v)
         return not _has_cycle(adjacency, self.num_ops)
 
@@ -297,7 +262,7 @@ def _enumerate_exhaustive(oracle: FeasibilityOracle, codec: SignatureCodec,
         uid = load_uids[level]
         for source in candidates[uid]:
             stats["prefixes"] += 1
-            batch = oracle.choice_pairs(uid, source)
+            batch = oracle.rules.choice_pairs(uid, source)
             cyclic = push(batch)
             if cyclic:
                 stats["pruned"] += suffix[level + 1]

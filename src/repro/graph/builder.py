@@ -2,7 +2,9 @@
 
 Everything static — the MCM's intra-thread edges, store locations, vertex
 IDs — is computed once per test at construction; :meth:`GraphBuilder.build`
-then adds the dynamic edges of one execution.
+then adds the dynamic edges of one execution.  The static-ws rules are
+derived once, in :class:`repro.mcm.ConstraintRules`; this module types
+their pairs as edges.
 
 Dependency-edge rules (notation of [4, 32], as adopted by the paper):
 
@@ -36,11 +38,18 @@ from repro.errors import CheckerError
 from repro.isa.instructions import INIT
 from repro.isa.program import TestProgram
 from repro.mcm.model import MemoryModel
+from repro.mcm.rules import ConstraintRules
 from repro.graph.constraint_graph import FR, PO, RF, WS, ConstraintGraph, Edge
 
 
 class GraphBuilder:
-    """Constructs per-execution constraint graphs for one test program."""
+    """Constructs per-execution constraint graphs for one test program.
+
+    The ordering rules come from one :class:`~repro.mcm.ConstraintRules`
+    instance; the builder only types its pairs: ppo pairs are ``po``
+    edges, store chains ``ws``, and a load's dynamic pair is ``rf`` when
+    it ends at the load, ``fr`` otherwise.
+    """
 
     def __init__(self, program: TestProgram, model: MemoryModel,
                  ws_mode: str = "static"):
@@ -49,33 +58,15 @@ class GraphBuilder:
         self.program = program
         self.model = model
         self.ws_mode = ws_mode
-        static_edges = [
-            Edge(src, dst, PO)
-            for tp in program.threads
-            for src, dst in model.ppo_edges(tp)
-        ]
-        # Statically-known coherence order: same-thread same-address store
-        # chains, valid under every coherent memory model.
-        self._po_next_store: dict[int, int] = {}
-        self._first_stores: dict[int, list[int]] = {}
-        for tp in program.threads:
-            last_store: dict[int, int] = {}
-            for op in tp.ops:
-                if not op.is_store:
-                    continue
-                prev = last_store.get(op.addr)
-                if prev is not None:
-                    static_edges.append(Edge(prev, op.uid, WS))
-                    self._po_next_store[prev] = op.uid
-                else:
-                    self._first_stores.setdefault(op.addr, []).append(op.uid)
-                last_store[op.addr] = op.uid
-        self.static_edges: tuple[Edge, ...] = tuple(static_edges)
-        self._static_pairs: tuple[tuple[int, int], ...] = tuple(
-            (e.src, e.dst) for e in static_edges if e.src != e.dst)
+        self.rules = ConstraintRules(program, model)
+        self.static_edges: tuple[Edge, ...] = tuple(
+            [Edge(src, dst, PO) for src, dst in self.rules.ppo_pairs]
+            + [Edge(src, dst, WS) for src, dst in self.rules.ws_pairs])
         #: (load uid, source) -> dynamic pair tuple; filled by dynamic_edge_pairs
         self._edge_table: dict[tuple[int, object],
                                tuple[tuple[int, int], ...]] = {}
+        #: (load uid, source) -> the same pairs as typed edges, for build()
+        self._typed_table: dict[tuple[int, object], tuple[Edge, ...]] = {}
 
     def build(self, rf: dict[int, object], ws: dict[int, list[int]] = None) -> ConstraintGraph:
         """Build the constraint graph of one execution.
@@ -92,28 +83,19 @@ class GraphBuilder:
         graph = ConstraintGraph(self.program.num_ops, self.static_edges)
         if self.ws_mode == "observed":
             self._add_observed(graph, rf, ws)
-        else:
-            self._add_static(graph, rf)
+            return graph
+        typed = self._typed_table
+        add_edge = graph.add_edge
+        for key in rf.items():
+            edges = typed.get(key)
+            if edges is None:
+                load_uid = key[0]
+                edges = tuple(Edge(u, v, RF if v == load_uid else FR)
+                              for u, v in self.dynamic_edge_pairs(*key))
+                typed[key] = edges
+            for edge in edges:
+                add_edge(edge)
         return graph
-
-    # -- static (paper) mode ----------------------------------------------------
-
-    def _add_static(self, graph: ConstraintGraph, rf: dict[int, object]) -> None:
-        program = self.program
-        for load_uid, source in rf.items():
-            load_op = program.op(load_uid)
-            if source is INIT or source == INIT:
-                # INIT is coherence-first: the load precedes every thread's
-                # first store to the address.
-                for st_uid in self._first_stores.get(load_op.addr, ()):
-                    graph.add_edge(Edge(load_uid, st_uid, FR))
-                continue
-            store_op = program.op(source)
-            if store_op.thread != load_op.thread:
-                graph.add_edge(Edge(source, load_uid, RF))
-            successor = self._po_next_store.get(source)
-            if successor is not None:
-                graph.add_edge(Edge(load_uid, successor, FR))
 
     # -- per-load edge table (delta pipeline) -----------------------------------
 
@@ -139,33 +121,14 @@ class GraphBuilder:
         key = (load_uid, source)
         pairs = self._edge_table.get(key)
         if pairs is None:
-            pairs = self._dynamic_pairs_uncached(load_uid, source)
+            pairs = self.rules.choice_pairs(load_uid, source)
             self._edge_table[key] = pairs
         return pairs
 
-    def _dynamic_pairs_uncached(self, load_uid: int, source) -> tuple:
-        load_op = self.program.op(load_uid)
-        if source is INIT or source == INIT:
-            return tuple((load_uid, st_uid)
-                         for st_uid in self._first_stores.get(load_op.addr, ()))
-        pairs = []
-        store_op = self.program.op(source)
-        if store_op.thread != load_op.thread:
-            pairs.append((source, load_uid))
-        successor = self._po_next_store.get(source)
-        if successor is not None:
-            pairs.append((load_uid, successor))
-        return tuple(pairs)
-
     @property
     def static_pairs(self) -> tuple:
-        """Bare (src, dst) pairs of every static edge, with multiplicity.
-
-        Self-loop edges (a po/ws edge whose src and dst coincide cannot
-        occur, but the constructor drops them defensively) are excluded,
-        matching what a refcounted delta state counts.
-        """
-        return self._static_pairs
+        """Bare (src, dst) pairs of every static edge, with multiplicity."""
+        return self.rules.static_pairs
 
     def load_edge_table(self, candidates: dict) -> dict:
         """Eagerly materialize the complete (load, candidate) edge table.
@@ -197,7 +160,7 @@ class GraphBuilder:
         exactly what a refcounted delta graph state needs as its base
         (the static contributor must survive the dynamic one's removal).
         """
-        yield from self._static_pairs
+        yield from self.rules.static_pairs
         for load_uid, source in rf.items():
             yield from self.dynamic_edge_pairs(load_uid, source)
 
@@ -210,7 +173,7 @@ class GraphBuilder:
         program = self.program
         # A missing chain would silently weaken the graph (dropped ws/fr
         # edges can hide violations), so coverage is mandatory.
-        missing = [addr for addr in self._first_stores if addr not in ws]
+        missing = {st.addr for st in program.stores if st.addr not in ws}
         if missing:
             raise CheckerError(
                 "observed ws order missing chains for store-bearing "

@@ -39,7 +39,7 @@ from repro.lint.engine import (
     record_gate,
 )
 from repro.lint.findings import LintReport
-from repro.mcm.model import MemoryModel
+from repro.mcm.model import MemoryModel, model_for_register_width
 from repro.obs import get_obs
 from repro.sim.executor import OperationalExecutor
 from repro.sim.os_model import OSModel
@@ -436,8 +436,7 @@ def check_campaign_result(result: CampaignResult, model: MemoryModel = None,
             "pipeline must be one of %s; got %r"
             % ("/".join(PIPELINES), pipeline))
     if model is None:
-        model = platform_for_isa(
-            "x86" if result.codec.register_width == 64 else "arm").memory_model
+        model = model_for_register_width(result.codec.register_width)
     if ws_mode == "observed":
         pipeline = "graphs"  # observed graphs are not signature-pure
     obs = get_obs()

@@ -35,7 +35,7 @@ from repro.lint import (
     verifier,
 )
 from repro.lint.findings import LintReport, Severity
-from repro.mcm import get_model
+from repro.mcm import get_model, model_for_register_width
 from repro.obs import get_obs
 
 #: analyzer families, in execution order
@@ -72,8 +72,7 @@ class LintConfig:
 def _resolve_model(config, register_width: int):
     if config is not None:
         return get_model(config.memory_model_name)
-    # io.py convention: 64-bit signatures mean the x86/TSO platform
-    return get_model("tso" if register_width == 64 else "weak")
+    return model_for_register_width(register_width)
 
 
 def lint_program(program: TestProgram, *, codec: SignatureCodec = None,

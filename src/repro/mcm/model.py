@@ -149,3 +149,12 @@ def get_model(name: str) -> MemoryModel:
     except KeyError:
         raise ValueError("unknown memory model %r (expected one of %s)"
                          % (name, sorted(_MODELS))) from None
+
+
+def model_for_register_width(register_width: int) -> MemoryModel:
+    """The model a signature width implies when none is given.
+
+    The io.py convention: 64-bit signatures come from the x86 platform
+    (TSO), anything else from the ARM platform (weak ordering).
+    """
+    return TSO if register_width == 64 else WEAK

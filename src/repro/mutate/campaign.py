@@ -207,12 +207,10 @@ class SensitivityCampaign:
         self.jobs = jobs
         self.control = control and self.mutation.fault_class != "crash"
         self.cross_check = normalize_cross_check(cross_check)
-        #: lazy per-campaign state: both oracles are program/model-bound
+        #: lazy per-campaign state: the oracle is program/model-bound
         #: and per-signature verdicts are cached across re-inspections
-        self._oracle = None
-        self._membership: dict = {}
-        self._poly = None
-        self._poly_verdicts: dict = {}
+        self._flag_rf = None
+        self._verdicts: dict = {}
 
     def run(self) -> DetectionOutcome:
         obs = get_obs()
@@ -276,17 +274,14 @@ class SensitivityCampaign:
             out.detected, out.channel = True, ASSERT
             out.executions_to_detection = executed
             return True
-        if self.cross_check == FEASIBLE and merged.signature_counts:
-            out.out_of_feasible = self._count_out_of_feasible(
-                merged, campaign.model)
-            if out.out_of_feasible:
-                out.detected, out.channel = True, FEASIBLE
-                out.executions_to_detection = executed
-                return True
-        if self.cross_check == POLY and merged.signature_counts:
-            out.poly_flags = self._count_poly_flags(merged, campaign.model)
-            if out.poly_flags:
-                out.detected, out.channel = True, POLY
+        if self.cross_check and merged.signature_counts:
+            flags = self._count_flags(merged, campaign.model)
+            if self.cross_check == FEASIBLE:
+                out.out_of_feasible = flags
+            else:
+                out.poly_flags = flags
+            if flags:
+                out.detected, out.channel = True, self.cross_check
                 out.executions_to_detection = executed
                 return True
         if merged.signature_counts:
@@ -300,49 +295,28 @@ class SensitivityCampaign:
                 return True
         return False
 
-    def _count_out_of_feasible(self, merged, model) -> int:
-        """Unique signatures outside the static feasible set, cached.
+    def _count_flags(self, merged, model) -> int:
+        """Unique signatures the cross-check oracle flags, cached.
 
         The oracle depends only on the (unmutated) program and the
         model, so one instance serves every seed; per-signature
-        membership verdicts are memoized across the cumulative
-        re-inspections of the chunk loop.
+        verdicts are memoized across the cumulative re-inspections of
+        the chunk loop.  Both oracles answer exactly per signature —
+        ``poly`` never enumerates, so it scales to signature spaces
+        ``feasible`` cannot bound.
         """
-        from repro.feasible import FeasibilityOracle
+        from repro.feasible.crosscheck import signature_flagger
 
-        if self._oracle is None:
-            self._oracle = FeasibilityOracle(merged.program, model)
-        decode = merged.codec.decode
-        misses = 0
-        for sig in merged.sorted_signatures():
-            verdict = self._membership.get(sig)
-            if verdict is None:
-                verdict = self._oracle.is_feasible(decode(sig))
-                self._membership[sig] = verdict
-            if not verdict:
-                misses += 1
-        return misses
-
-    def _count_poly_flags(self, merged, model) -> int:
-        """Unique signatures the frontier closure flags, cached.
-
-        Mirrors :meth:`_count_out_of_feasible` for the poly oracle: the
-        verifier is (program, model)-bound and per-signature closure
-        verdicts are memoized across cumulative re-inspections.  One
-        closure per new signature — exact, never enumerative, so this
-        channel scales to signature spaces ``feasible`` cannot bound.
-        """
-        from repro.checker.poly import PolyVerifier
-
-        if self._poly is None:
-            self._poly = PolyVerifier(merged.program, model)
+        if self._flag_rf is None:
+            self._flag_rf = signature_flagger(self.cross_check,
+                                              merged.program, model)
         decode = merged.codec.decode
         flags = 0
         for sig in merged.sorted_signatures():
-            verdict = self._poly_verdicts.get(sig)
+            verdict = self._verdicts.get(sig)
             if verdict is None:
-                verdict = self._poly.verify(decode(sig)).violation
-                self._poly_verdicts[sig] = verdict
+                verdict = self._flag_rf(decode(sig))
+                self._verdicts[sig] = verdict
             if verdict:
                 flags += 1
         return flags

@@ -30,10 +30,9 @@ from repro.harness.runner import CampaignResult
 from repro.instrument.signature import SignatureCodec
 from repro.io import signature_from_entry
 from repro.isa.program import TestProgram
-from repro.mcm.model import MemoryModel
+from repro.mcm.model import MemoryModel, model_for_register_width
 from repro.obs import get_obs
 from repro.serve.dedup import SignatureDedupStore, campaign_key
-from repro.sim.platform import platform_for_isa
 
 
 @dataclass
@@ -122,8 +121,7 @@ class CampaignSession:
                  label: str = "", model: MemoryModel = None,
                  pipeline: str = "delta"):
         if model is None:
-            model = platform_for_isa(
-                "x86" if register_width == 64 else "arm").memory_model
+            model = model_for_register_width(register_width)
         self.session_id = session_id
         self.label = label
         self.codec = SignatureCodec(program, register_width)

@@ -1,8 +1,9 @@
 """The poly pipeline: frontier-closure verification and its wiring.
 
 Unit coverage for :mod:`repro.checker.poly` and the dispatcher:
-rule-level equivalence against the independent feasible oracle on
-exhaustively enumerable litmus outcome spaces, witness-cycle validity,
+verdict equivalence against the feasible enumerator's own cycle tests
+on exhaustively enumerable litmus outcome spaces (the shared rules are
+pinned on their own in ``tests/test_mcm_rules.py``), witness-cycle validity,
 the four-way differential contract on real and violating campaigns
 (via :mod:`tests.differential` — the shared fixture of the packed and
 delta suites), the runner/stream wiring of ``--check-pipeline poly``
@@ -43,8 +44,8 @@ _ENUMERABLE = 4096
 
 class TestVerifierRules:
     """The frontier closure decides the same predicate as the feasible
-    oracle's graph-based membership test — proven by exhaustive
-    enumeration over every encodable litmus outcome."""
+    oracle's cycle test — proven by exhaustive enumeration over every
+    encodable litmus outcome."""
 
     @pytest.mark.parametrize("model_name", ("sc", "tso", "weak"))
     def test_litmus_exhaustive_oracle_equivalence(self, model_name):
@@ -58,16 +59,6 @@ class TestVerifierRules:
             for rf in every_rf(codec):
                 assert oracle.is_feasible(rf) == \
                     (not verifier.verify(rf).violation), (lt.name, rf)
-
-    def test_choice_pairs_match_oracle(self, figure3_program):
-        model = get_model("tso")
-        oracle = FeasibilityOracle(figure3_program, model)
-        verifier = PolyVerifier(figure3_program, model)
-        codec = SignatureCodec(figure3_program, 64)
-        for load_uid, sources in sorted(codec.candidates.items()):
-            for source in sources:
-                assert sorted(verifier.choice_pairs(load_uid, source)) == \
-                    sorted(oracle.choice_pairs(load_uid, source))
 
     def test_static_skeleton_is_acyclic(self, small_program):
         verifier = PolyVerifier(small_program, get_model("weak"))
@@ -200,20 +191,25 @@ class TestFourWayContract:
 
     def test_disagreement_is_caught(self):
         """The contract must actually bite: a corrupted poly verdict
-        (one dropped rule family) flips the digest comparison."""
+        (one dropped rule family) flips the digest comparison, while the
+        graph family — holding its own rules instance — is untouched."""
         cfg = TestConfig(isa="arm", threads=4, ops_per_thread=40,
                          addresses=8, seed=3)
         program, codec, signatures = run_unique_signatures(cfg, 300, seed=13)
         model = get_model("sc")
         _, delta = reference_reports(program, codec, signatures, model)
-        verifier = PolyVerifier(program, model)
-        verifier._next_store = {}  # kill the from-read rule
-        report, _ = poly_report(program, codec, signatures, model)
         report_digest = violation_digest(delta)
+        verifier = PolyVerifier(program, model)
+        verifier.rules.next_store = {}  # kill the from-read rule
         crippled = [codec.decode(sig) for sig in signatures]
         crippled_violations = [i for i, rf in enumerate(crippled)
                                if verifier.verify(rf).violation]
         assert crippled_violations != report_digest["violations"]
+        # the fault stays local to the crippled verifier
+        _, delta_after = reference_reports(program, codec, signatures, model)
+        assert violation_digest(delta_after) == report_digest
+        clean, _ = poly_report(program, codec, signatures, model)
+        assert violation_digest(clean) == report_digest
 
 
 class TestRunnerWiring:

@@ -40,7 +40,7 @@ def test_paper_config_contract(cfg):
     for pipeline, outcome in outcomes.items():
         xc = cross_check_outcome(result, outcome, campaign.model)
         assert xc.agreement, (cfg.name, pipeline)
-        assert not xc.out_of_set, (cfg.name, pipeline)
+        assert not xc.flagged, (cfg.name, pipeline)
         assert len(xc.verdicts) == result.unique_signatures
 
 

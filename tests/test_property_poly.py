@@ -92,7 +92,7 @@ class TestInjectedDivergence:
 
     def _crippled_digest(self, program, codec, signatures, model):
         source = PolySignatureSource(codec, model, signatures)
-        source.verifier._next_store = {}  # drop the from-read rule
+        source.verifier.rules.next_store = {}  # drop the from-read rule
         return violation_digest(PolyChecker().check(source))
 
     def test_divergence_found_and_shrunk(self):
@@ -105,6 +105,7 @@ class TestInjectedDivergence:
         pool = sorted({codec.encode(e.rf) for e in executor.run(300)})
         _, delta = reference_reports(program, codec, pool, SC)
         assert delta.violations  # the pool carries real violations
+        pool_digest = violation_digest(delta)
 
         disagreeing = []
 
@@ -133,3 +134,7 @@ class TestInjectedDivergence:
         _, ref = reference_reports(program, codec, block, SC)
         assert self._crippled_digest(program, codec, block, SC) != \
             violation_digest(ref)
+        # the fault stayed local to the crippled verifiers: the graph
+        # family's digest over the whole pool is unchanged
+        _, delta_after = reference_reports(program, codec, pool, SC)
+        assert violation_digest(delta_after) == pool_digest

@@ -11,6 +11,7 @@ and the bench harness diffs count snapshots exactly.  A stray
 This tool AST-scans the run-scope packages
 
     src/repro/checker/  src/repro/graph/  src/repro/instrument/
+    src/repro/mcm/
 
 and fails on:
 
@@ -40,7 +41,8 @@ import sys
 from pathlib import Path
 
 #: packages whose output must be bit-stable (relative to the repo root)
-RUN_SCOPE = ("src/repro/checker", "src/repro/graph", "src/repro/instrument")
+RUN_SCOPE = ("src/repro/checker", "src/repro/graph", "src/repro/instrument",
+             "src/repro/mcm")
 
 #: modules whose import run-scope code may never need
 BANNED_MODULES = ("random", "time")
