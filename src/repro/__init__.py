@@ -4,38 +4,23 @@ Post-silicon memory-consistency validation: compact memory-access
 interleaving signatures plus collective constraint-graph checking, with
 simulated execution substrates standing in for the paper's silicon
 platforms.  See README.md for the architecture tour; the most common
-entry points are re-exported here.
+entry points are re-exported here, each imported on first use.
 """
 
-from repro.checker import BaselineChecker, CollectiveChecker, describe_cycle
-from repro.graph import ConstraintGraph, GraphBuilder, topological_sort
-from repro.harness import Campaign, run_and_check
-from repro.instrument import Signature, SignatureCodec
-from repro.mcm import SC, TSO, WEAK, get_model
-from repro.sim import OperationalExecutor, platform_for_isa
-from repro.testgen import PAPER_CONFIGS, TestConfig, generate, paper_config
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "PAPER_CONFIGS",
-    "SC",
-    "TSO",
-    "WEAK",
-    "BaselineChecker",
-    "Campaign",
-    "CollectiveChecker",
-    "ConstraintGraph",
-    "GraphBuilder",
-    "OperationalExecutor",
-    "Signature",
-    "SignatureCodec",
-    "TestConfig",
-    "describe_cycle",
-    "generate",
-    "get_model",
-    "paper_config",
-    "platform_for_isa",
-    "run_and_check",
-    "topological_sort",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.checker.baseline": ("BaselineChecker",),
+    "repro.checker.collective": ("CollectiveChecker",),
+    "repro.checker.results": ("describe_cycle",),
+    "repro.graph": ("ConstraintGraph", "GraphBuilder", "topological_sort"),
+    "repro.harness.runner": ("Campaign", "run_and_check"),
+    "repro.instrument.signature": ("Signature", "SignatureCodec"),
+    "repro.mcm": ("SC", "TSO", "WEAK", "get_model"),
+    "repro.sim.executor": ("OperationalExecutor",),
+    "repro.sim.platform": ("platform_for_isa",),
+    "repro.testgen.config": ("PAPER_CONFIGS", "TestConfig", "paper_config"),
+    "repro.testgen.generator": ("generate",),
+})

@@ -1,4 +1,4 @@
-"""Pipeline registry and the ``auto`` alias.
+"""Pipeline registry, the default pipeline and the ``auto`` alias.
 
 One authoritative list of checking pipelines, consumed by the CLI
 subparsers (run/check/suite/serve), the runner's validation and the
@@ -13,6 +13,10 @@ pipelines require graphs to be a pure function of the signature).
 
 from __future__ import annotations
 
+#: the pipeline every checking entry point uses unless told otherwise
+#: (run/check/suite/serve, stream finalize, pool check tasks): the
+#: graph-family fast path, reports byte-identical to ``delta``'s
+DEFAULT_PIPELINE = "packed"
 #: every batch checking pipeline `check_campaign_result` accepts
 PIPELINES = ("graphs", "delta", "packed", "poly", "auto")
 #: pipelines the streaming daemon can finalize with (the legacy graphs

@@ -21,10 +21,10 @@ Two properties the serve daemon builds on:
   order.
 * **Canonical finalization.**  :meth:`~StreamingCollectiveChecker.
   finalize` replays the accepted unique signatures, sorted ascending,
-  through the stock batch pipeline — the resulting
+  through the stock batch pipeline (packed by default) — the resulting
   :class:`~repro.checker.results.CheckReport` is byte-identical to
-  ``repro run --check-pipeline delta`` over the same multiset, which is
-  the serve differential pin.
+  ``repro run`` over the same multiset, which is the serve differential
+  pin.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from array import array
 
 from repro.checker.collective import CollectiveChecker
-from repro.checker.delta import SignatureDeltaSource
+from repro.checker.dispatch import DEFAULT_PIPELINE, choose_pipeline
 from repro.checker.results import (
     COMPLETE,
     INCREMENTAL,
@@ -198,23 +198,23 @@ class StreamingCollectiveChecker:
     # -- canonical finalization --------------------------------------------------------
 
     def finalize(self, signatures=None,
-                 pipeline: str = "delta") -> CheckReport:
+                 pipeline: str = DEFAULT_PIPELINE) -> CheckReport:
         """The canonical batch report over everything fed so far.
 
         Replays the accepted signatures in ascending order through the
-        stock :meth:`CollectiveChecker.check_deltas` pipeline — the
-        exact code path of ``repro run --check-pipeline delta`` — so the
-        returned report's :meth:`~repro.checker.results.CheckReport.
-        summary` is byte-identical to the batch run's for the same
-        unique-signature set, regardless of arrival order.
+        stock array-compiled :class:`~repro.checker.packed.PackedChecker`
+        — the exact code path of ``repro run`` — so the returned
+        report's :meth:`~repro.checker.results.CheckReport.summary` is
+        byte-identical to the batch run's for the same unique-signature
+        set, regardless of arrival order.
 
         ``signatures`` overrides the replayed set: serve sessions pass
         their full unique multiset, which includes dedup hits whose live
         check was answered by the store and therefore never fed here.
 
-        ``pipeline="packed"`` replays through the array-compiled
-        :class:`~repro.checker.packed.PackedChecker` instead — same
-        summary by construction, faster on large blocks.
+        ``pipeline="delta"`` replays through
+        :meth:`CollectiveChecker.check_deltas` instead — same summary by
+        construction.
         ``pipeline="poly"`` finalizes through the frontier-closure
         family (:class:`~repro.checker.poly.PolyChecker`): identical
         violation verdicts, family-specific method statistics.
@@ -223,7 +223,6 @@ class StreamingCollectiveChecker:
         pool = self.signatures if signatures is None else signatures
         block = sorted(set(pool))
         if pipeline == "auto":
-            from repro.checker.dispatch import choose_pipeline
             pipeline = choose_pipeline(self.builder.ws_mode)
         if pipeline == "packed":
             from repro.checker.packed import PackedChecker, PackedPlan
@@ -234,5 +233,6 @@ class StreamingCollectiveChecker:
             source = PolySignatureSource(self.codec, self.builder.model,
                                          block)
             return PolyChecker(self.initial_key).check(source)
+        from repro.checker.delta import SignatureDeltaSource
         source = SignatureDeltaSource(self.codec, self.builder, block)
         return CollectiveChecker(self.initial_key).check_deltas(source)

@@ -10,7 +10,8 @@ Commands mirror the paper's flow so each stage can run standalone:
   shards the iterations over N worker processes,
 * ``check`` — load a signature dump, decode, build graphs, and run the
   collective checker (the host side); ``--check-pipeline`` selects the
-  streaming ``delta`` pipeline (default), the array-compiled ``packed``
+  array-compiled ``packed`` pipeline (default,
+  :data:`repro.checker.DEFAULT_PIPELINE`), the streaming ``delta``
   pipeline, the frontier-closure ``poly`` family, ``auto`` (an alias
   of ``packed``) or the legacy ``graphs`` path (``run`` and ``suite`` accept
   the same switch for their checking stage; the choices come from the
@@ -75,16 +76,21 @@ import sys
 
 from repro import io as repro_io
 from repro import obs as repro_obs
+from repro.checker.dispatch import (
+    CROSS_CHECKS,
+    DEFAULT_PIPELINE,
+    PIPELINES,
+    SERVE_PIPELINES,
+)
+from repro.checker.results import describe_cycle
 from repro.errors import ReproError
-from repro.checker import CROSS_CHECKS, PIPELINES, SERVE_PIPELINES, describe_cycle
-from repro.harness import Campaign, SuiteRunner, check_campaign_result, format_table
-from repro.feasible.enumerator import DEFAULT_BUDGET, DEFAULT_SAMPLES
-from repro.instrument import SignatureCodec, code_size, emit_listing, intrusiveness
-from repro.isa.assembler import assemble, disassemble
+from repro.harness.checking import check_campaign_result
+from repro.harness.reporting import format_table
 from repro.mcm import get_model, model_for_register_width
-from repro.sim import OperationalExecutor
-from repro.testgen import TestConfig, generate
-from repro.testgen.litmus import all_litmus_tests, extended_litmus_tests
+
+# Each subcommand imports the subsystems it drives inside its handler,
+# so a process pays only for what its command uses (``check`` loads
+# neither the executors nor the generator, linter or enumerator).
 
 
 def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
@@ -96,7 +102,9 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _config_from(args) -> TestConfig:
+def _config_from(args):
+    from repro.testgen.config import TestConfig
+
     return TestConfig(isa=args.isa, threads=args.threads, ops_per_thread=args.ops,
                       addresses=args.addresses, words_per_line=args.words_per_line,
                       seed=args.seed)
@@ -166,12 +174,20 @@ def _emit_report(args, handle, meta: dict, summary: dict):
 
 
 def _cmd_generate(args) -> int:
+    from repro.isa.assembler import disassemble
+    from repro.testgen.generator import generate
+
     program = generate(_config_from(args))
     sys.stdout.write(disassemble(program))
     return 0
 
 
 def _cmd_instrument(args) -> int:
+    from repro.instrument.codegen import code_size, emit_listing
+    from repro.instrument.register_flush import intrusiveness
+    from repro.instrument.signature import SignatureCodec
+    from repro.testgen.generator import generate
+
     config = _config_from(args)
     program = generate(config)
     codec = SignatureCodec(program, config.register_width)
@@ -224,6 +240,8 @@ def _cmd_run(args) -> int:
         checker = lambda: check_campaign_result(result,
                                                 pipeline=args.check_pipeline)
     else:
+        from repro.harness.runner import Campaign
+
         extra = {}
         if args.detailed or args.bug:
             from repro.sim.detailed import DetailedExecutor
@@ -329,6 +347,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from repro.harness.suite import SuiteRunner
+
     config = _config_from(args)
     handle = repro_obs.enable() if _metrics_wanted(args) else None
     runner = SuiteRunner(config, tests=args.tests, iterations=args.iterations,
@@ -379,6 +399,9 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_litmus(args) -> int:
+    from repro.sim.executor import OperationalExecutor
+    from repro.testgen.litmus import all_litmus_tests, extended_litmus_tests
+
     handle = repro_obs.enable() if _metrics_wanted(args) else None
     model = get_model(args.model)
     tests = all_litmus_tests() + (extended_litmus_tests() if args.extended else [])
@@ -419,6 +442,10 @@ def _cmd_litmus(args) -> int:
 
 def _lint_targets(args):
     """Yield ``(program, config)`` pairs the lint command should analyze."""
+    from repro.isa.assembler import assemble
+    from repro.testgen.generator import generate_suite
+    from repro.testgen.litmus import all_litmus_tests
+
     if args.input:
         with open(args.input) as handle:
             yield assemble(handle.read(), name=args.input), None
@@ -428,8 +455,6 @@ def _lint_targets(args):
             yield lt.program, None
         return
     config = _config_from(args)
-    from repro.testgen import generate_suite
-
     for program in generate_suite(config, args.tests):
         yield program, config
 
@@ -565,13 +590,22 @@ def _render_rf(rf: dict) -> str:
 
 
 def _cmd_feasible(args) -> int:
-    from repro.feasible import FeasibilityOracle, enumerate_feasible
     from repro.feasible.doc import feasible_markdown
+    from repro.feasible.enumerator import (
+        DEFAULT_BUDGET,
+        DEFAULT_SAMPLES,
+        FeasibilityOracle,
+        enumerate_feasible,
+    )
+    from repro.instrument.signature import SignatureCodec
+    from repro.sim.executor import OperationalExecutor
 
     if args.doc:
         print(feasible_markdown())
         return 0
     handle = repro_obs.enable() if getattr(args, "metrics_out", None) else None
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     docs = []
     out_of_set_total = 0
     for program, config in _lint_targets(args):
@@ -584,7 +618,7 @@ def _cmd_feasible(args) -> int:
         else:
             model = get_model("tso")
         fset = enumerate_feasible(program, model, codec=codec,
-                                  budget=args.budget, samples=args.samples,
+                                  budget=budget, samples=samples,
                                   seed=args.feasible_seed)
         doc = fset.to_json()
         if not args.json:
@@ -600,7 +634,7 @@ def _cmd_feasible(args) -> int:
                       "(space ~2^%d exceeds budget %d)"
                       % (title, model.name, fset.sampled,
                          fset.feasible_count, fset.cardinality.bit_length(),
-                         args.budget))
+                         budget))
         if args.list_outcomes:
             sigs = fset.sorted_signatures()
             if args.json:
@@ -994,13 +1028,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("sc", "tso", "weak"), default=None,
                    help="memory model (default: the config's, or tso for "
                         "--input/--litmus)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    # the enumerator's defaults apply when these are omitted; reading
+    # them here would import it for every subcommand
+    p.add_argument("--budget", type=int, default=None,
                    help="full enumeration up to this many rf assignments "
-                        "(default %d); larger spaces are sampled"
-                        % DEFAULT_BUDGET)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                        "(default: the enumerator's budget, listed in "
+                        "docs/FEASIBLE.md); larger spaces are sampled")
+    p.add_argument("--samples", type=int, default=None,
                    help="seeded assignments drawn above the budget "
-                        "(default %d)" % DEFAULT_SAMPLES)
+                        "(default: the enumerator's, listed in "
+                        "docs/FEASIBLE.md)")
     p.add_argument("--feasible-seed", type=int, default=0,
                    help="sampling seed above the budget")
     p.add_argument("--list-outcomes", action="store_true",
@@ -1075,10 +1112,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="batches with at least this many entries check "
                         "on the worker pool when one is attached")
     p.add_argument("--check-pipeline", choices=SERVE_PIPELINES,
-                   default="delta",
-                   help="finalize (drain) replay pipeline: streaming "
-                        "'delta' (default), the array-compiled 'packed' "
-                        "core, the frontier-closure 'poly' family or "
+                   default=DEFAULT_PIPELINE,
+                   help="finalize (drain) replay pipeline: the "
+                        "array-compiled 'packed' core (default), streaming "
+                        "'delta', the frontier-closure 'poly' family or "
                         "'auto' (alias of 'packed') — identical violation "
                         "verdicts (the legacy graphs path never streams)")
     p.add_argument("--progress", action="store_true",
@@ -1176,13 +1213,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_pipeline_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--check-pipeline",
                         choices=PIPELINES,
-                        default="delta",
-                        help="collective-checking pipeline: 'delta' "
-                             "(default) streams incremental signature "
-                             "decodes and edge deltas, never holding more "
-                             "than one full graph; 'packed' compiles the "
-                             "block into flat lists (CSR edge universe, "
-                             "digit rows, edge tapes) and replays them; "
+                        default=DEFAULT_PIPELINE,
+                        help="collective-checking pipeline: 'packed' "
+                             "(default) compiles the block into flat lists "
+                             "(CSR edge universe, digit rows, edge tapes) "
+                             "and replays them; 'delta' streams incremental "
+                             "signature decodes and edge deltas, never "
+                             "holding more than one full graph; "
                              "'poly' verifies each signature by frontier "
                              "closure (independent algorithm family, no "
                              "constraint graph); 'auto' is an alias of "

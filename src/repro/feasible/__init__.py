@@ -19,52 +19,19 @@ weight tables.  Three consumers:
   steering signal coverage-guided test generation needs.
 
 See ``docs/FEASIBLE.md`` (generated by ``repro feasible --doc``).
+Names are re-exported lazily, each submodule imported on first use.
 """
 
-from repro.feasible.crosscheck import (
-    AGREE_CLEAN,
-    AGREE_VIOLATION,
-    CHECKER_FALSE_ALARM,
-    CHECKER_MISS,
-    POLY_FALSE_ALARM,
-    POLY_MISS,
-    CrossCheckReport,
-    FeasibleCrossCheckReport,
-    OracleSpec,
-    PolyCrossCheckReport,
-    SignatureVerdict,
-    cross_check_outcome,
-    cross_check_poly,
-    signature_flagger,
-)
-from repro.feasible.enumerator import (
-    DEFAULT_BUDGET,
-    DEFAULT_SAMPLES,
-    FeasibilityOracle,
-    FeasibleSet,
-    enumerate_feasible,
-    signature_feasible,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AGREE_CLEAN",
-    "AGREE_VIOLATION",
-    "CHECKER_FALSE_ALARM",
-    "CHECKER_MISS",
-    "CrossCheckReport",
-    "DEFAULT_BUDGET",
-    "DEFAULT_SAMPLES",
-    "FeasibilityOracle",
-    "FeasibleCrossCheckReport",
-    "FeasibleSet",
-    "OracleSpec",
-    "POLY_FALSE_ALARM",
-    "POLY_MISS",
-    "PolyCrossCheckReport",
-    "SignatureVerdict",
-    "cross_check_outcome",
-    "cross_check_poly",
-    "enumerate_feasible",
-    "signature_feasible",
-    "signature_flagger",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.feasible.crosscheck": (
+        "AGREE_CLEAN", "AGREE_VIOLATION", "CHECKER_FALSE_ALARM",
+        "CHECKER_MISS", "POLY_FALSE_ALARM", "POLY_MISS", "CrossCheckReport",
+        "FeasibleCrossCheckReport", "OracleSpec", "PolyCrossCheckReport",
+        "SignatureVerdict", "cross_check_outcome", "cross_check_poly",
+        "signature_flagger"),
+    "repro.feasible.enumerator": (
+        "DEFAULT_BUDGET", "DEFAULT_SAMPLES", "FeasibilityOracle",
+        "FeasibleSet", "enumerate_feasible", "signature_feasible"),
+})

@@ -29,6 +29,7 @@ cycle-free.
 
 from __future__ import annotations
 
+from repro._lazy import lazy_exports
 from repro.fleet.sharding import (
     DEFAULT_BLOCK,
     OS_SEED_SALT,
@@ -39,43 +40,16 @@ from repro.fleet.sharding import (
     shard_iterations,
 )
 
-_LAZY = {
-    "merge_campaign_results": "repro.fleet.merge",
-    "WorkerTask": "repro.fleet.worker",
-    "CRASH_EXIT": "repro.fleet.worker",
-    "execute_task": "repro.fleet.worker",
-    "run_worker_task": "repro.fleet.worker",
-    "worker_main": "repro.fleet.worker",
-    "TcpWorkerPool": "repro.fleet.remote",
-    "remote_worker_main": "repro.fleet.remote",
-    "task_from_doc": "repro.fleet.remote",
-    "task_to_doc": "repro.fleet.remote",
-    "FleetConfig": "repro.fleet.supervisor",
-    "FleetSupervisor": "repro.fleet.supervisor",
-    "ShardOutcome": "repro.fleet.supervisor",
-    "plan_campaign_tasks": "repro.fleet.campaign",
-    "run_campaign_fleet": "repro.fleet.campaign",
-}
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, {
+    "repro.fleet.merge": ("merge_campaign_results",),
+    "repro.fleet.worker": ("WorkerTask", "CRASH_EXIT", "execute_task",
+                           "run_worker_task", "worker_main"),
+    "repro.fleet.remote": ("TcpWorkerPool", "remote_worker_main",
+                           "task_from_doc", "task_to_doc"),
+    "repro.fleet.supervisor": ("FleetConfig", "FleetSupervisor",
+                               "ShardOutcome"),
+    "repro.fleet.campaign": ("plan_campaign_tasks", "run_campaign_fleet"),
+})
 
-__all__ = sorted([
-    "DEFAULT_BLOCK",
-    "OS_SEED_SALT",
-    "derive_os_seed",
-    "derive_seed",
-    "partition_blocks",
-    "plan_blocks",
-    "shard_iterations",
-] + list(_LAZY))
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__all__ = ["DEFAULT_BLOCK", "OS_SEED_SALT", "derive_os_seed", "derive_seed",
+           "partition_blocks", "plan_blocks", "shard_iterations"] + _lazy_names

@@ -21,7 +21,7 @@ from repro.fleet.progress import FleetProgress
 from repro.fleet.sharding import partition_blocks, plan_blocks
 from repro.fleet.supervisor import FleetConfig, FleetSupervisor
 from repro.fleet.worker import WorkerTask
-from repro.harness.runner import CampaignResult
+from repro.harness.checking import CampaignResult
 from repro.instrument.signature import SignatureCodec
 from repro.io import dump_program, load_campaign
 from repro.lint.engine import gate_iterations, lint_program, record_gate

@@ -10,7 +10,7 @@ is checked byte-identically to a serial one.
 
 from __future__ import annotations
 
-from repro.harness.runner import CampaignResult
+from repro.harness.checking import CampaignResult
 from repro.io import FormatError, dump_program
 
 

@@ -33,6 +33,7 @@ import time
 from collections import deque
 from dataclasses import asdict
 
+from repro.checker.dispatch import DEFAULT_PIPELINE
 from repro.fleet.supervisor import FleetSupervisor, ShardOutcome
 from repro.fleet.worker import WorkerTask, execute_task, export_state, task_meta
 from repro.obs import get_obs
@@ -229,7 +230,7 @@ class TcpWorkerPool:
                            collect_metrics=task.collect_metrics)
         else:                # ("check", dump_text, model_name[, pipeline])
             message.update(type="check", dump=task[1], model=task[2],
-                           pipeline=task[3] if len(task) > 3 else "delta")
+                           pipeline=task[3] if len(task) > 3 else DEFAULT_PIPELINE)
         start = time.perf_counter()
         if self.progress is not None and isinstance(task, WorkerTask):
             self.progress.launch(index, task.iterations,
@@ -332,7 +333,7 @@ class TcpWorkerPool:
         return outcomes
 
     def check_remote(self, dump_text: str, model: str = None,
-                     pipeline: str = "delta"):
+                     pipeline: str = DEFAULT_PIPELINE):
         """Offload one campaign-dump check; returns the verdict digest
         (``{"summary", "violations", "unique"}``) or None on crash."""
         outcomes = self.run([("check", dump_text, model, pipeline)])
@@ -391,7 +392,7 @@ def _latest_progress(task: WorkerTask):
 
 def _run_remote_task(message: dict) -> dict:
     """Execute one ``check`` task body (shard bodies run threaded)."""
-    from repro.harness.runner import check_campaign_result
+    from repro.harness.checking import check_campaign_result
     from repro.io import _signature_to_list, load_campaign
     from repro.mcm import get_model
 
@@ -399,7 +400,7 @@ def _run_remote_task(message: dict) -> dict:
     model = get_model(message["model"]) if message.get("model") else None
     outcome = check_campaign_result(
         result, model=model, baseline=False,
-        pipeline=message.get("pipeline", "delta"))
+        pipeline=message.get("pipeline", DEFAULT_PIPELINE))
     report = outcome.collective
     signatures = result.sorted_signatures()
     import json

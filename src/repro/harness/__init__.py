@@ -1,25 +1,17 @@
-"""End-to-end campaign harness and report formatting."""
+"""End-to-end campaign harness and report formatting.
 
-from repro.harness.reporting import format_bar_chart, format_table
-from repro.harness.runner import (
-    Campaign,
-    CampaignResult,
-    CheckOutcome,
-    check_campaign_result,
-    run_and_check,
-)
-from repro.harness.sortmodel import SortCostModel
-from repro.harness.suite import SuiteRunner, SuiteStats
+Names are re-exported lazily: host-side checking
+(:mod:`repro.harness.checking`) loads without the device-side runner,
+the executors or the test generator.
+"""
 
-__all__ = [
-    "Campaign",
-    "CampaignResult",
-    "CheckOutcome",
-    "SortCostModel",
-    "SuiteRunner",
-    "SuiteStats",
-    "check_campaign_result",
-    "format_bar_chart",
-    "format_table",
-    "run_and_check",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.harness.checking": ("CampaignResult", "CheckOutcome",
+                               "check_campaign_result"),
+    "repro.harness.reporting": ("format_bar_chart", "format_table"),
+    "repro.harness.runner": ("Campaign", "run_and_check"),
+    "repro.harness.sortmodel": ("SortCostModel",),
+    "repro.harness.suite": ("SuiteRunner", "SuiteStats"),
+})

@@ -9,115 +9,35 @@ violation checking``:
    signature of every run and keeping one representative execution per
    *unique* signature,
 4. sort the unique signatures, decode each back to its reads-from map
-   (Algorithm 1), build constraint graphs, and check them with both the
-   collective checker and the conventional baseline.
+   (Algorithm 1), build constraint graphs, and check them with the
+   collective checker (and, on request, the conventional baseline).
+
+Step 4 is host-side and lives in :mod:`repro.harness.checking`; its
+names are re-exported here.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
-from dataclasses import dataclass, field
 
 from repro.errors import ReproError, SignatureError
 from repro.fleet.sharding import derive_os_seed, derive_seed, plan_blocks
-from repro.harness.sortmodel import SortCostModel
-from repro.checker.baseline import BaselineChecker
-from repro.checker.collective import CollectiveChecker
-from repro.checker.delta import SignatureDeltaSource
-from repro.checker.dispatch import PIPELINES, choose_pipeline
-from repro.checker.packed import PackedChecker, PackedPlan
-from repro.checker.poly import PolyChecker, PolySignatureSource
-from repro.checker.results import CheckReport
-from repro.graph.builder import GraphBuilder
-from repro.instrument.signature import Signature, SignatureCodec
-from repro.isa.program import TestProgram
-from repro.lint.engine import (
-    GateDecision,
-    gate_iterations,
-    lint_program,
-    record_gate,
+from repro.harness.checking import (
+    CampaignResult,
+    CheckOutcome,
+    check_campaign_result,
 )
-from repro.lint.findings import LintReport
-from repro.mcm.model import MemoryModel, model_for_register_width
+from repro.harness.sortmodel import SortCostModel
+from repro.checker.dispatch import DEFAULT_PIPELINE
+from repro.instrument.signature import SignatureCodec
+from repro.isa.program import TestProgram
+from repro.mcm.model import MemoryModel
 from repro.obs import get_obs
 from repro.sim.executor import OperationalExecutor
 from repro.sim.os_model import OSModel
 from repro.sim.platform import Platform, platform_for_isa
 from repro.testgen.config import TestConfig
 from repro.testgen.generator import generate
-
-
-@dataclass
-class CampaignResult:
-    """Everything a campaign observed before checking."""
-
-    program: TestProgram
-    codec: SignatureCodec
-    iterations: int = 0
-    #: signature -> occurrence count over all iterations
-    signature_counts: Counter = field(default_factory=Counter)
-    #: signature -> representative execution (first with that signature)
-    representatives: dict = field(default_factory=dict)
-    #: summed cycle accounting over all iterations
-    base_cycles: float = 0.0
-    instrumentation_cycles: float = 0.0
-    signature_sort_cycles: float = 0.0
-    test_accesses: int = 0
-    extra_accesses: int = 0
-    crashes: int = 0
-    #: iterations the lint gate statically proved redundant and skipped
-    skipped_iterations: int = 0
-    #: iterations whose observed rf fell outside the instrumented
-    #: candidate sets — the signature chain's assertion tail fired
-    #: (paper Figure 4 "assert error"); a detection outcome on its own,
-    #: these executions have no encodable signature
-    signature_asserts: int = 0
-
-    @property
-    def unique_signatures(self) -> int:
-        """The paper's "number of unique memory-access interleavings"."""
-        return len(self.signature_counts)
-
-    def sorted_signatures(self) -> list[Signature]:
-        return sorted(self.signature_counts)
-
-
-@dataclass
-class CheckOutcome:
-    """Violation-checking results over a campaign's unique executions."""
-
-    collective: CheckReport
-    #: conventional per-execution checking; None when it was skipped
-    baseline: CheckReport = None
-    #: signatures, in the checked (ascending) order
-    signatures: list = field(default_factory=list)
-    #: constraint graphs, aligned with ``signatures``; empty under the
-    #: delta pipeline, which never materializes the full list — use
-    #: :meth:`graph_at` for uniform access
-    graphs: list = field(default_factory=list)
-    #: which checking pipeline produced this outcome
-    pipeline: str = "graphs"
-    #: delta source kept for on-demand graph rebuilds (delta pipeline)
-    source: object = None
-
-    @property
-    def violating_signatures(self) -> list:
-        return [self.signatures[v.index] for v in self.collective.violations]
-
-    def graph_at(self, index: int):
-        """Constraint graph of checked execution ``index``.
-
-        Returns the materialized graph when the ``graphs`` pipeline
-        built one, else rebuilds it from the delta source (identical by
-        construction) — callers rendering violation witnesses don't care
-        which pipeline ran.
-        """
-        if self.graphs:
-            return self.graphs[index]
-        if self.source is not None:
-            return self.source.full_graph(index)
-        raise IndexError("no graphs materialized and no delta source kept")
 
 
 class Campaign:
@@ -251,13 +171,13 @@ class Campaign:
             raise ValueError("jobs must be positive; got %r" % (jobs,))
         if jobs > 1:
             return self._run_fleet(iterations, jobs, block, lint)
-        decision = self._lint_gate(lint, iterations)
-        blocks = plan_blocks(decision.run_iterations, block)
+        run_iterations, skipped = self._lint_gate(lint, iterations)
+        blocks = plan_blocks(run_iterations, block)
         obs = get_obs()
-        obs.emit("campaign.plan", iterations=decision.run_iterations,
+        obs.emit("campaign.plan", iterations=run_iterations,
                  blocks=len(blocks))
         result = self.run_blocks(blocks)
-        result.skipped_iterations = decision.skipped_iterations
+        result.skipped_iterations = skipped
         obs.emit("campaign.result", iterations=result.iterations,
                  unique_signatures=result.unique_signatures,
                  crashes=result.crashes,
@@ -265,18 +185,24 @@ class Campaign:
                  signature_asserts=result.signature_asserts)
         return result
 
-    def lint(self, lint_config=None) -> LintReport:
-        """Statically lint this campaign's program and instrumentation."""
+    def lint(self, lint_config=None):
+        """Statically lint this campaign's program and instrumentation
+        (a :class:`~repro.lint.LintReport`)."""
+        from repro.lint.engine import lint_program
+
         return lint_program(
             self.program, codec=self.codec, config=self.config,
             model=self.model, lint_config=lint_config)
 
-    def _lint_gate(self, policy: str, iterations: int) -> GateDecision:
+    def _lint_gate(self, policy: str, iterations: int) -> tuple:
+        """``(iterations to run, iterations skipped)`` under ``policy``."""
         if policy in (None, "off"):
-            return GateDecision("off", iterations, 0)
+            return iterations, 0
+        from repro.lint.engine import gate_iterations, record_gate
+
         decision = gate_iterations(self.lint(), policy, iterations)
         record_gate(decision)
-        return decision
+        return decision.run_iterations, decision.skipped_iterations
 
     def run_blocks(self, blocks, progress=None) -> CampaignResult:
         """Execute an explicit ``(block_index, count)`` seed-block list.
@@ -377,7 +303,7 @@ class Campaign:
             result.signature_sort_cycles)
 
     def check(self, result: CampaignResult, ws_mode: str = "static",
-              pipeline: str = "delta") -> CheckOutcome:
+              pipeline: str = DEFAULT_PIPELINE) -> CheckOutcome:
         """Decode, build and check all unique executions of a campaign.
 
         Args:
@@ -386,114 +312,15 @@ class Campaign:
                 default; graphs depend on signatures alone) or
                 ``"observed"`` (use each representative execution's
                 coherence order for strictly stronger checking).
-            pipeline: ``"delta"`` (default) streams graph deltas through
-                the checker; ``"graphs"`` materializes every graph
-                first; ``"packed"`` compiles the block into flat arrays
-                and replays it; ``"poly"`` runs the frontier-closure
+            pipeline: ``"packed"`` (default) compiles the block into
+                flat arrays and replays it; ``"delta"`` streams graph
+                deltas through the checker; ``"graphs"`` materializes
+                every graph first; ``"poly"`` runs the frontier-closure
                 family; ``"auto"`` is an alias of ``"packed"``.  See
                 :func:`check_campaign_result`.
         """
         return check_campaign_result(result, self.model, ws_mode=ws_mode,
                                      pipeline=pipeline)
-
-
-def check_campaign_result(result: CampaignResult, model: MemoryModel = None,
-                          ws_mode: str = "static", baseline: bool = True,
-                          pipeline: str = "delta") -> CheckOutcome:
-    """Host-side checking of any campaign result — live, loaded or merged.
-
-    The campaign's origin is irrelevant: a serial run, a fleet-merged
-    multiset and a :func:`repro.io.load_campaign` dump all check through
-    this one path, so sharding can never change checker semantics.
-
-    Args:
-        result: signature multiset (plus representatives) to check.
-        model: memory model; defaults to the platform matching the
-            result's signature register width (the io.py convention).
-        ws_mode: ``"static"`` (paper default) or ``"observed"``.
-        baseline: also run the conventional per-execution checker;
-            skipped (``outcome.baseline is None``) when False.
-        pipeline: ``"delta"`` (default) never materializes more than one
-            full graph — signatures are decoded incrementally (changed
-            digits only) and the collective checker consumes the edge-
-            delta stream; ``"graphs"`` is the legacy path that builds
-            the whole graph list first; ``"packed"`` compiles the block
-            into flat arrays (CSR edge universe, batched signature
-            decode, per-step delta tapes) once and replays them through
-            the array-kernel checker; ``"poly"`` decodes each signature
-            and runs an independent frontier-closure verification (no
-            constraint graph, no topological sort — the second algorithm
-            family); ``"auto"`` is an alias that resolves to ``"packed"``
-            via :func:`repro.checker.choose_pipeline`.
-            Violation verdicts are identical in all of them; the
-            graph-family pipelines additionally share the full report
-            summary byte for byte.  ``ws_mode="observed"`` graphs depend
-            on per-execution coherence order, not the signature alone,
-            so they always fall back to ``"graphs"``.
-    """
-    if pipeline not in PIPELINES:
-        raise ValueError(
-            "pipeline must be one of %s; got %r"
-            % ("/".join(PIPELINES), pipeline))
-    if model is None:
-        model = model_for_register_width(result.codec.register_width)
-    if ws_mode == "observed":
-        pipeline = "graphs"  # observed graphs are not signature-pure
-    obs = get_obs()
-    with obs.span("check"):
-        signatures = result.sorted_signatures()
-        if pipeline == "auto":
-            pipeline = choose_pipeline(ws_mode)
-        if pipeline == "poly":
-            source = PolySignatureSource(result.codec, model, signatures)
-            outcome = CheckOutcome(
-                collective=PolyChecker().check(source),
-                baseline=BaselineChecker().check_stream(source)
-                if baseline else None,
-                signatures=signatures,
-                pipeline="poly",
-                source=source,
-            )
-            return outcome
-        builder = GraphBuilder(result.program, model, ws_mode=ws_mode)
-        if pipeline == "packed":
-            plan = PackedPlan(result.codec, builder, signatures)
-            outcome = CheckOutcome(
-                collective=PackedChecker().check(plan),
-                baseline=BaselineChecker().check_stream(plan)
-                if baseline else None,
-                signatures=signatures,
-                pipeline="packed",
-                source=plan,
-            )
-            return outcome
-        if pipeline == "delta":
-            source = SignatureDeltaSource(result.codec, builder, signatures)
-            outcome = CheckOutcome(
-                collective=CollectiveChecker().check_deltas(source),
-                baseline=BaselineChecker().check_stream(source)
-                if baseline else None,
-                signatures=signatures,
-                pipeline="delta",
-                source=source,
-            )
-            return outcome
-        graphs = []
-        with obs.span("check.build_graphs"):
-            for signature in signatures:
-                rf = result.codec.decode(signature)
-                if ws_mode == "observed":
-                    graphs.append(
-                        builder.build(rf, result.representatives[signature].ws))
-                else:
-                    graphs.append(builder.build(rf))
-        outcome = CheckOutcome(
-            collective=CollectiveChecker().check(graphs),
-            baseline=BaselineChecker().check(graphs) if baseline else None,
-            signatures=signatures,
-            graphs=graphs,
-        )
-    return outcome
 
 
 def run_and_check(config: TestConfig, iterations: int, **kwargs):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.checker.dispatch import DEFAULT_PIPELINE
 from repro.checker.results import COMPLETE, INCREMENTAL, NO_RESORT
 from repro.errors import ReproError
 from repro.harness.runner import (
@@ -77,10 +78,11 @@ class SuiteRunner:
             ``None``/``"off"``, ``"skip"`` (lint-error tests are skipped
             outright, zero-entropy tests trimmed to one iteration) or
             ``"fail"`` (lint errors abort the suite).
-        pipeline: checking pipeline for every campaign — ``"delta"``
-            (default, streaming graph deltas), ``"packed"``
-            (array-compiled replay) or ``"graphs"`` (legacy full-graph
-            path); see :func:`repro.harness.check_campaign_result`.
+        pipeline: checking pipeline for every campaign — ``"packed"``
+            (default, array-compiled replay), ``"delta"`` (streaming
+            graph deltas), ``"poly"`` (frontier closure) or ``"graphs"``
+            (legacy full-graph path); see
+            :func:`repro.harness.check_campaign_result`.
         campaign_kwargs: forwarded to every :class:`Campaign`
             (platform, instrumentation, executor_cls, os_model, ...);
             fleet mode accepts only the plain-data subset
@@ -89,7 +91,8 @@ class SuiteRunner:
 
     def __init__(self, config: TestConfig, tests: int = 10,
                  iterations: int = 1000, jobs: int = 1, fleet=None,
-                 lint: str = None, pipeline: str = "delta", **campaign_kwargs):
+                 lint: str = None, pipeline: str = DEFAULT_PIPELINE,
+                 **campaign_kwargs):
         if jobs < 1:
             raise ValueError("jobs must be positive; got %r" % (jobs,))
         self.config = config

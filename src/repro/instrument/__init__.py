@@ -1,33 +1,21 @@
-"""Observability-enhancing instrumentation: signatures, codegen, baselines."""
+"""Observability-enhancing instrumentation: signatures, codegen, baselines.
 
-from repro.instrument.codegen import CodeSize, code_size, emit_listing
-from repro.instrument.dynamic_pruning import FrontierCodec, FrontierSignature
-from repro.instrument.pruning import pruned_candidate_sources, regularize
-from repro.instrument.register_flush import (
-    IntrusivenessReport,
-    flush_log_size,
-    intrusiveness,
-)
-from repro.instrument.signature import Signature, SignatureCodec
-from repro.instrument.static_analysis import candidate_sources, observable_values
-from repro.instrument.weights import LoadSlot, ThreadWeightTable, build_weight_tables
+Names are re-exported lazily, each submodule imported on first use.
+"""
 
-__all__ = [
-    "CodeSize",
-    "FrontierCodec",
-    "FrontierSignature",
-    "IntrusivenessReport",
-    "LoadSlot",
-    "Signature",
-    "SignatureCodec",
-    "ThreadWeightTable",
-    "build_weight_tables",
-    "candidate_sources",
-    "code_size",
-    "emit_listing",
-    "flush_log_size",
-    "intrusiveness",
-    "observable_values",
-    "pruned_candidate_sources",
-    "regularize",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.instrument.codegen": ("CodeSize", "code_size", "emit_listing"),
+    "repro.instrument.dynamic_pruning": ("FrontierCodec",
+                                         "FrontierSignature"),
+    "repro.instrument.pruning": ("pruned_candidate_sources", "regularize"),
+    "repro.instrument.register_flush": ("IntrusivenessReport",
+                                        "flush_log_size", "intrusiveness"),
+    "repro.instrument.signature": ("MAX_REGISTER_WIDTH", "Signature",
+                                   "SignatureCodec"),
+    "repro.instrument.static_analysis": ("candidate_sources",
+                                         "observable_values"),
+    "repro.instrument.weights": ("LoadSlot", "ThreadWeightTable",
+                                 "build_weight_tables"),
+})

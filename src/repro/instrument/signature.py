@@ -12,11 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import SignatureError
+from repro.errors import InstrumentationError, SignatureError
 from repro.isa.program import TestProgram
 from repro.instrument.static_analysis import candidate_sources
 from repro.instrument.weights import ThreadWeightTable, build_weight_tables
 from repro.obs import get_obs
+
+#: widest signature register a codec accepts, in bits (the paper's
+#: systems use 32 and 64; 512 is a vector register)
+MAX_REGISTER_WIDTH = 512
 
 
 @dataclass(frozen=True, order=True)
@@ -65,10 +69,22 @@ class SignatureCodec:
     Args:
         program: the test program under instrumentation.
         register_width: signature register width in bits (64 on the x86
-            system, 32 on the ARM system; paper Section 3.2).
+            system, 32 on the ARM system; paper Section 3.2), at most
+            :data:`MAX_REGISTER_WIDTH`.  Every width from outside the
+            process (dumps, serve hellos, worker hand-offs) reaches the
+            codec, so this is where it is checked.
+
+    Raises:
+        InstrumentationError: for a width that is not an integer in
+            ``1..MAX_REGISTER_WIDTH``.
     """
 
     def __init__(self, program: TestProgram, register_width: int = 64):
+        if (type(register_width) is not int
+                or not 0 < register_width <= MAX_REGISTER_WIDTH):
+            raise InstrumentationError(
+                "signature register width must be an integer in 1..%d, "
+                "not %r" % (MAX_REGISTER_WIDTH, register_width))
         self.program = program
         self.register_width = register_width
         self.candidates = candidate_sources(program)

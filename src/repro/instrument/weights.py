@@ -120,7 +120,7 @@ class ThreadWeightTable:
         for slot in reversed(self.slots):
             value = remaining[slot.word]
             index = value // slot.multiplier
-            if index >= len(slot.candidates):
+            if not 0 <= index < len(slot.candidates):
                 raise SignatureError(
                     "signature word %d value %d out of range for load uid %d"
                     % (slot.word, words[slot.word], slot.uid))
@@ -155,7 +155,8 @@ class ThreadWeightTable:
             index_old, old = divmod(old, multiplier)
             index_new, new = divmod(new, multiplier)
             if index_old != index_new:
-                if index_old >= len(candidates) or index_new >= len(candidates):
+                if not (0 <= index_old < len(candidates)
+                        and 0 <= index_new < len(candidates)):
                     raise SignatureError(
                         "signature word %d digit %d out of range for load uid %d"
                         % (word_index, max(index_old, index_new), uid))

@@ -18,13 +18,15 @@ import json
 from collections import Counter
 
 from repro.errors import ReproError
-from repro.harness.runner import CampaignResult
+from repro.harness.checking import CampaignResult
 from repro.instrument.signature import Signature, SignatureCodec
 from repro.isa.assembler import assemble, disassemble
 from repro.isa.program import TestProgram
-from repro.sim.execution import Execution
 
 _FORMAT_VERSION = 1
+#: the dump header's run counters (absent means 0)
+_COUNTERS = ("iterations", "crashes", "skipped_iterations",
+             "signature_asserts")
 
 
 class FormatError(ReproError):
@@ -180,9 +182,13 @@ def campaign_meta(text: str) -> dict:
 def load_campaign(text: str) -> CampaignResult:
     """Reconstruct a host-side :class:`CampaignResult` from a JSON dump.
 
-    The returned result carries signature counts and (when the dump
-    includes ws) representative executions whose ``rf`` is recovered by
-    decoding each signature — Algorithm 1 on the host, as in the paper.
+    The returned result carries signature counts and representative
+    executions (with their observed ws when the dump includes it) whose
+    ``rf`` is recovered by decoding each signature — Algorithm 1 on the
+    host, as in the paper.  The document's structure is validated here;
+    the decode is deferred to the first read of
+    :attr:`CampaignResult.representatives`, so a static check decodes
+    each signature once, in its own pipeline, which range-checks it.
     """
     doc = parse_json_payload(text, what="campaign dump")
     if doc.get("format") != _FORMAT_VERSION:
@@ -192,23 +198,24 @@ def load_campaign(text: str) -> CampaignResult:
             raise FormatError("campaign dump missing %r" % key)
     if not isinstance(doc["signatures"], list):
         raise FormatError("campaign dump 'signatures' must be a list")
-    width = doc.get("register_width")
-    if type(width) is not int or width <= 0:
-        raise FormatError("campaign dump 'register_width' must be a "
-                          "positive integer, not %r" % (width,))
+    counters = {}
+    for key in _COUNTERS:
+        value = doc.get(key, 0)
+        if type(value) is not int or value < 0:
+            raise FormatError("campaign dump %r must be a non-negative "
+                              "integer, not %r" % (key, value))
+        counters[key] = value
     program = load_program(doc["program"])
-    codec = SignatureCodec(program, width)
-    result = CampaignResult(program, codec, iterations=doc.get("iterations", 0))
-    result.crashes = doc.get("crashes", 0)
-    result.skipped_iterations = doc.get("skipped_iterations", 0)
-    result.signature_asserts = doc.get("signature_asserts", 0)
+    codec = SignatureCodec(program, doc.get("register_width"))
+    result = CampaignResult(program, codec, **counters)
     counts = Counter()
+    representatives = []
     for entry in doc["signatures"]:
         signature, count = signature_from_entry(entry, default_count=None)
         counts[signature] = count
-        result.representatives[signature] = Execution(
-            codec.decode(signature), _ws_from_entry(entry))
+        representatives.append((signature, _ws_from_entry(entry)))
     result.signature_counts = counts
+    result.defer_representatives(representatives)
     return result
 
 
@@ -219,7 +226,7 @@ def _ws_from_entry(entry: dict) -> dict:
         raise FormatError("signature entry 'ws' must be an object, not %s"
                           % type(ws).__name__)
     try:
-        return {int(addr): [int(u) for u in chain]
+        return {int(addr): list(map(int, chain))
                 for addr, chain in ws.items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError("bad signature entry 'ws': %s" % (exc,)) from None

@@ -18,45 +18,18 @@ Runs entirely without executing a test.  Four analyzer families:
 
 Entry points: :func:`lint_program` for one report,
 :func:`gate_iterations` for the campaign ``lint=`` gate, and the
-``repro lint`` CLI subcommand.
+``repro lint`` CLI subcommand.  Names are re-exported lazily, each
+submodule imported on first use.
 """
 
-from repro.lint.engine import (
-    FAMILIES,
-    POLICIES,
-    GateDecision,
-    LintConfig,
-    LintGateError,
-    fail_on_severity,
-    gate_iterations,
-    lint_program,
-    record_gate,
-)
-from repro.lint.findings import Finding, LintReport, Severity
-from repro.lint.rules import (
-    Rule,
-    all_rules,
-    get_rule,
-    rules_markdown,
-    rules_table,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAMILIES",
-    "POLICIES",
-    "Finding",
-    "GateDecision",
-    "LintConfig",
-    "LintGateError",
-    "LintReport",
-    "Rule",
-    "Severity",
-    "all_rules",
-    "fail_on_severity",
-    "gate_iterations",
-    "get_rule",
-    "lint_program",
-    "record_gate",
-    "rules_markdown",
-    "rules_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.lint.engine": (
+        "FAMILIES", "POLICIES", "GateDecision", "LintConfig", "LintGateError",
+        "fail_on_severity", "gate_iterations", "lint_program",
+        "record_gate"),
+    "repro.lint.findings": ("Finding", "LintReport", "Severity"),
+    "repro.lint.rules": ("Rule", "all_rules", "get_rule", "rules_markdown",
+                         "rules_table"),
+})

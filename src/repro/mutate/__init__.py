@@ -20,6 +20,7 @@ which consults fault planes), so it is re-exported lazily to keep the
 package importable from inside :mod:`repro.sim`.
 """
 
+from repro._lazy import lazy_exports
 from repro.mutate.plane import FaultPlane, Trigger
 from repro.mutate.registry import (
     CampaignSpec,
@@ -31,29 +32,11 @@ from repro.mutate.registry import (
     register,
 )
 
-__all__ = [
-    "CampaignSpec",
-    "DetectionOutcome",
-    "FaultPlane",
-    "Mutation",
-    "SeedOutcome",
-    "SensitivityCampaign",
-    "Trigger",
-    "all_mutations",
-    "detailed_mutations",
-    "get_mutation",
-    "operational_mutations",
-    "register",
-    "run_sensitivity_suite",
-]
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, {
+    "repro.mutate.campaign": ("DetectionOutcome", "SeedOutcome",
+                              "SensitivityCampaign", "run_sensitivity_suite"),
+})
 
-_CAMPAIGN_NAMES = ("SensitivityCampaign", "DetectionOutcome", "SeedOutcome",
-                   "run_sensitivity_suite")
-
-
-def __getattr__(name):
-    if name in _CAMPAIGN_NAMES:
-        from repro.mutate import campaign
-
-        return getattr(campaign, name)
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+__all__ = ["CampaignSpec", "FaultPlane", "Mutation", "Trigger",
+           "all_mutations", "detailed_mutations", "get_mutation",
+           "operational_mutations", "register"] + _lazy_names

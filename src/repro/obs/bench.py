@@ -261,6 +261,10 @@ def collect_check_counts(config_names, iterations: int, seed: int,
     ``bench_packed``; the
     ``poly`` pipeline adds its closure-effort counts (rule applications
     and dynamic ordering facts), matching ``bench_poly``.
+
+    ``pipeline`` defaults to ``"delta"``, not the checkers'
+    :data:`~repro.checker.DEFAULT_PIPELINE`: the committed
+    ``BENCH_delta.json`` leaves are delta counts.
     """
     # local imports: repro.obs must stay importable without the harness
     from repro.harness import Campaign, check_campaign_result

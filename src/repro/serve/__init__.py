@@ -25,35 +25,13 @@ Everything imports lazily (the daemon pulls in asyncio machinery no
 batch run needs).
 """
 
-from __future__ import annotations
+from repro._lazy import lazy_exports
 
-_LAZY = {
-    "MESSAGE_KINDS": "repro.serve.protocol",
-    "PROTOCOL_VERSION": "repro.serve.protocol",
-    "ProtocolError": "repro.serve.protocol",
-    "protocol_markdown": "repro.serve.protocol",
-    "SignatureDedupStore": "repro.serve.dedup",
-    "campaign_key": "repro.serve.dedup",
-    "CampaignSession": "repro.serve.session",
-    "SessionReport": "repro.serve.session",
-    "ServeConfig": "repro.serve.daemon",
-    "ServeDaemon": "repro.serve.daemon",
-    "serve_forever": "repro.serve.daemon",
-    "ServeClient": "repro.serve.client",
-    "submit_campaign": "repro.serve.client",
-}
-
-__all__ = sorted(_LAZY)
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.serve.protocol": ("MESSAGE_KINDS", "PROTOCOL_VERSION",
+                             "ProtocolError", "protocol_markdown"),
+    "repro.serve.dedup": ("SignatureDedupStore", "campaign_key"),
+    "repro.serve.session": ("CampaignSession", "SessionReport"),
+    "repro.serve.daemon": ("ServeConfig", "ServeDaemon", "serve_forever"),
+    "repro.serve.client": ("ServeClient", "submit_campaign"),
+})

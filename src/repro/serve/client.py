@@ -4,8 +4,7 @@ The device side of checking-as-a-service.  A :class:`ServeClient` opens
 one session (hello/welcome), pipelines signature batches up to a
 window, honours ``busy`` backpressure by re-submitting the rejected
 batch, and drains to collect the final report — whose ``summary`` is
-byte-identical to checking the same multiset with
-``repro run --check-pipeline delta``.
+byte-identical to checking the same multiset with ``repro run``.
 
 :func:`submit_campaign` is the one-call form behind ``repro submit``:
 it slices an existing :func:`repro.io` campaign dump into batches and
@@ -18,7 +17,7 @@ from __future__ import annotations
 import socket
 import time
 
-from repro.harness.runner import CampaignResult
+from repro.harness.checking import CampaignResult
 from repro.io import dump_program, signature_to_entry
 from repro.serve.protocol import (
     PROTOCOL_VERSION,

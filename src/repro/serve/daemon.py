@@ -39,6 +39,7 @@ import socket
 import time
 from dataclasses import dataclass
 
+from repro.checker.dispatch import DEFAULT_PIPELINE
 from repro.io import load_program
 from repro.obs import get_obs
 from repro.serve.dedup import SignatureDedupStore
@@ -77,10 +78,10 @@ class ServeConfig:
     pool_port: int = None
     #: batches with at least this many entries check on the pool
     offload: int = 512
-    #: finalize pipeline: "delta" (default), array-compiled "packed",
-    #: frontier-closure "poly" or "auto" (an alias of "packed")
+    #: finalize pipeline: array-compiled "packed" (default), streaming
+    #: "delta", frontier-closure "poly" or "auto" (an alias of "packed")
     #: (:data:`repro.checker.SERVE_PIPELINES`)
-    check_pipeline: str = "delta"
+    check_pipeline: str = DEFAULT_PIPELINE
 
 
 class ServeDaemon:

@@ -119,8 +119,7 @@ _kind("drain", CLIENT,
       ("seq", "last batch sequence number the client sent (sanity)"))
 _kind("report", SERVER,
       "The session's final CheckReport digest — byte-identical to "
-      "checking the same multiset through the batch "
-      "`repro run --check-pipeline delta` path.",
+      "checking the same multiset through the batch `repro run` path.",
       ("session_id", "daemon-assigned session index"),
       ("summary", "timing-free `CheckReport.summary()` digest"),
       ("unique_signatures", "distinct interleavings this session saw"),
@@ -356,9 +355,9 @@ def protocol_markdown() -> str:
         "A client `drain` (or a daemon-side SIGTERM) stops intake,",
         "finishes every queued batch, and flushes one final `report` per",
         "session whose `summary` is byte-identical to checking the same",
-        "signature multiset through the batch",
-        "`repro run --check-pipeline delta` path.  On SIGTERM the daemon",
-        "exits 0 only after every live session's report is flushed.",
+        "signature multiset through the batch `repro run` path.  On",
+        "SIGTERM the daemon exits 0 only after every live session's",
+        "report is flushed.",
         "",
     ]
     for direction, title in ((CLIENT, "Client to server"),

@@ -13,10 +13,10 @@ Each submitted batch is folded three ways:
    verdicts are recorded back into the store.
 
 At drain, :meth:`CampaignSession.finalize` replays the session's own
-unique-signature set, sorted, through the stock batch delta pipeline —
-so the flushed report's ``summary`` is byte-identical to
-``repro run --check-pipeline delta`` over the same multiset, no matter
-how batches were interleaved or which verdicts were dedup hits.
+unique-signature set, sorted, through the stock batch pipeline (packed
+by default) — so the flushed report's ``summary`` is byte-identical to
+``repro run`` over the same multiset, no matter how batches were
+interleaved or which verdicts were dedup hits.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.checker.dispatch import DEFAULT_PIPELINE
 from repro.checker.stream import StreamingCollectiveChecker
 from repro.graph.builder import GraphBuilder
-from repro.harness.runner import CampaignResult
+from repro.harness.checking import CampaignResult
 from repro.instrument.signature import SignatureCodec
 from repro.io import signature_from_entry
 from repro.isa.program import TestProgram
@@ -109,17 +110,18 @@ class CampaignSession:
         dedup: the daemon-wide :class:`SignatureDedupStore`.
         label: free-form client label for telemetry.
         model: memory model override; defaults to the platform matching
-            the register width, exactly as :func:`repro.harness.runner.
+            the register width, exactly as :func:`repro.harness.
             check_campaign_result` does.
-        pipeline: finalize replay pipeline — ``"delta"`` (default) or
-            the array-compiled ``"packed"`` core; the drained report's
-            summary is identical either way.
+        pipeline: finalize replay pipeline — the array-compiled
+            ``"packed"`` core (default), streaming ``"delta"`` or
+            frontier-closure ``"poly"``; the drained report's violation
+            verdicts are identical either way.
     """
 
     def __init__(self, session_id: int, program: TestProgram,
                  register_width: int, dedup: SignatureDedupStore,
                  label: str = "", model: MemoryModel = None,
-                 pipeline: str = "delta"):
+                 pipeline: str = DEFAULT_PIPELINE):
         if model is None:
             model = model_for_register_width(register_width)
         self.session_id = session_id
@@ -283,7 +285,8 @@ class CampaignSession:
         The replay covers *every* unique signature this session ingested
         — including dedup hits whose live check was answered by another
         client — so the report stands alone, byte-identical to a batch
-        ``repro run --check-pipeline delta`` over the same multiset.
+        ``repro run`` with the same ``--check-pipeline`` over the same
+        multiset.
         """
         with self._lock:
             totals = self._totals

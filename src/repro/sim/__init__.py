@@ -1,32 +1,18 @@
-"""Execution substrates: fast operational executor, detailed MESI simulator."""
+"""Execution substrates: fast operational executor, detailed MESI simulator.
 
-from repro.sim.contention import ContentionModel, LatencyConfig, UniformModel
-from repro.sim.execution import Execution, ExecutionCounters
-from repro.sim.executor import OperationalExecutor
-from repro.sim.os_model import OSConfig, OSModel
-from repro.sim.tracing import ProtocolTracer, TraceEvent
-from repro.sim.platform import (
-    ARM_BIG_LITTLE,
-    GEM5_X86_8CORE,
-    X86_DESKTOP,
-    Platform,
-    platform_for_isa,
-)
+Names are re-exported lazily: loading a dump needs
+:class:`~repro.sim.execution.Execution` but no executor.
+"""
 
-__all__ = [
-    "ARM_BIG_LITTLE",
-    "ContentionModel",
-    "Execution",
-    "ExecutionCounters",
-    "GEM5_X86_8CORE",
-    "LatencyConfig",
-    "OSConfig",
-    "OSModel",
-    "OperationalExecutor",
-    "Platform",
-    "ProtocolTracer",
-    "TraceEvent",
-    "UniformModel",
-    "X86_DESKTOP",
-    "platform_for_isa",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.sim.contention": ("ContentionModel", "LatencyConfig",
+                             "UniformModel"),
+    "repro.sim.execution": ("Execution", "ExecutionCounters"),
+    "repro.sim.executor": ("OperationalExecutor",),
+    "repro.sim.os_model": ("OSConfig", "OSModel"),
+    "repro.sim.platform": ("ARM_BIG_LITTLE", "GEM5_X86_8CORE", "X86_DESKTOP",
+                           "Platform", "platform_for_isa"),
+    "repro.sim.tracing": ("ProtocolTracer", "TraceEvent"),
+})

@@ -1,17 +1,13 @@
-"""Constrained-random test generation, litmus library, test merging."""
+"""Constrained-random test generation, litmus library, test merging.
 
-from repro.testgen.config import PAPER_CONFIGS, TestConfig, paper_config
-from repro.testgen.generator import generate, generate_suite
-from repro.testgen.litmus import LitmusTest, all_litmus_tests
-from repro.testgen.merge import merge_tests
+Names are re-exported lazily, each submodule imported on first use.
+"""
 
-__all__ = [
-    "PAPER_CONFIGS",
-    "LitmusTest",
-    "TestConfig",
-    "all_litmus_tests",
-    "generate",
-    "generate_suite",
-    "merge_tests",
-    "paper_config",
-]
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.testgen.config": ("PAPER_CONFIGS", "TestConfig", "paper_config"),
+    "repro.testgen.generator": ("generate", "generate_suite"),
+    "repro.testgen.litmus": ("LitmusTest", "all_litmus_tests"),
+    "repro.testgen.merge": ("merge_tests",),
+})

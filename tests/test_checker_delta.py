@@ -182,7 +182,7 @@ class TestCheckCampaignWiring:
 
     def test_delta_outcome_materializes_no_graphs(self, campaign_result):
         campaign, result = campaign_result
-        outcome = campaign.check(result)
+        outcome = campaign.check(result, pipeline="delta")
         assert outcome.pipeline == "delta"
         assert outcome.graphs == []
         assert outcome.source is not None

@@ -192,9 +192,22 @@ class TestObservabilityCLI:
         capsys.readouterr()
         assert main(["check", dump, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        # default delta pipeline streams — no graph list is ever built
+        # default packed pipeline replays compiled tapes — no graph list
+        # is ever built
         spans = obs.span_names(report)
         assert {"check", "checker.collective"} <= spans
+        assert "check.build_graphs" not in spans
+        assert "checker.packed.graphs" in report["metrics"]
+        assert report["summary"]["violations"] == 0
+
+    def test_check_json_report_delta_pipeline(self, capsys, tmp_path):
+        dump = str(tmp_path / "d.json")
+        main(self.RUN_ARGS + ["-o", dump])
+        capsys.readouterr()
+        assert main(["check", dump, "--json",
+                     "--check-pipeline", "delta"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        spans = obs.span_names(report)
         assert "check.build_graphs" not in spans
         assert "checker.delta.graphs" in report["metrics"]
         assert report["summary"]["violations"] == 0

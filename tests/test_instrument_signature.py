@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import SignatureError
-from repro.instrument import Signature, SignatureCodec
+from repro.errors import InstrumentationError, SignatureError
+from repro.instrument import MAX_REGISTER_WIDTH, Signature, SignatureCodec
 from repro.testgen import TestConfig, generate
 
 
@@ -53,6 +53,26 @@ class TestCodec:
     def test_decode_rejects_wrong_thread_count(self, small_codec):
         with pytest.raises(SignatureError):
             small_codec.decode(Signature(((0,),)))
+
+    def test_decode_rejects_negative_words(self, small_codec):
+        sig = small_codec.encode(full_rf(small_codec, 1))
+        words = [list(w) for w in sig.words]
+        words[0][0] = -1
+        bad = Signature(tuple(tuple(w) for w in words))
+        with pytest.raises(SignatureError):
+            small_codec.decode(bad)
+        with pytest.raises(SignatureError):
+            small_codec.decode_delta(sig, bad)
+
+    @pytest.mark.parametrize("width", [0, -32, 2 ** 70, MAX_REGISTER_WIDTH + 1,
+                                       "64", 64.0, None, True])
+    def test_register_width_bounded(self, small_program, width):
+        with pytest.raises(InstrumentationError):
+            SignatureCodec(small_program, width)
+
+    def test_register_width_bound_is_inclusive(self, small_program):
+        codec = SignatureCodec(small_program, MAX_REGISTER_WIDTH)
+        assert codec.register_width == MAX_REGISTER_WIDTH
 
     def test_byte_size_consistent_with_tables(self, small_codec):
         assert small_codec.byte_size == sum(t.byte_size for t in small_codec.tables)

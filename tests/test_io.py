@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import io as repro_io
+from repro.checker import PIPELINES
 from repro.cli import main
 from repro.harness import Campaign
 from repro.testgen import TestConfig
@@ -174,6 +175,12 @@ DUMP_MUTANTS = {
     "ws-not-an-object": _set([1, 2], "signatures", 0, "ws"),
     "program-not-an-object": _set([1], "program"),
     "listing-not-a-string": _set(7, "program", "listing"),
+    "register-width-huge": _set(2 ** 70, "register_width"),
+    "iterations-string": _set("x", "iterations"),
+    "iterations-negative": _set(-1, "iterations"),
+    "crashes-list": _set([1], "crashes"),
+    "skipped-iterations-object": _set({}, "skipped_iterations"),
+    "signature-asserts-list": _set([], "signature_asserts"),
 }
 
 
@@ -197,3 +204,34 @@ class TestDumpBoundary:
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: "), err
+
+    @pytest.mark.parametrize("mutant", sorted(DUMP_MUTANTS))
+    def test_merge_exits_two_on_corrupt_dump(self, mutant, valid_dump,
+                                             tmp_path, capsys):
+        doc = copy.deepcopy(valid_dump)
+        DUMP_MUTANTS[mutant](doc)
+        good, bad = tmp_path / "good.json", tmp_path / "corrupt.json"
+        good.write_text(json.dumps(valid_dump))
+        bad.write_text(json.dumps(doc))
+        merged = tmp_path / "merged.json"
+        capsys.readouterr()
+        assert main(["merge", str(good), str(bad), "-o", str(merged)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), err
+        assert not merged.exists()
+
+    @pytest.mark.parametrize("word", [-1, 2 ** 70])
+    @pytest.mark.parametrize("pipeline", [None] + list(PIPELINES))
+    def test_out_of_range_signature_exits_two(self, pipeline, word,
+                                              valid_dump, tmp_path, capsys):
+        """Loading no longer decodes; the check's own decode rejects
+        a signature word outside the weight tables' range."""
+        doc = copy.deepcopy(valid_dump)
+        doc["signatures"][-1]["words"][0][0] = word
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--check-pipeline", pipeline] if pipeline else []
+        capsys.readouterr()
+        assert main(["check", str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "range" in err, err
