@@ -6,7 +6,11 @@ iterations and hashes every execution's ``(rf, ws, counters, crashed)``
 totals.  The digests were recorded before the executor's hot loops were
 last rewritten, so they pin the exact random-draw order of every
 machine: any change to which draws happen, or in what order, changes at
-least one digest.
+least one digest.  The detailed MESI cases also pin their event and
+squash counts, and a protocol-tracer digest pins the message order of
+``detailed-none`` directly, so a rewrite of the simulator's event loop
+must keep the same events in the same order, not only the same
+executions.
 
 Regenerate (only for an intended behaviour change) with::
 
@@ -25,6 +29,7 @@ from repro.sim import OperationalExecutor
 from repro.sim.detailed import DetailedExecutor
 from repro.sim.faults import Bug, FaultConfig
 from repro.sim.os_model import OSModel
+from repro.sim.tracing import ProtocolTracer
 from repro.testgen import TestConfig, generate
 
 ITERATIONS = 50
@@ -128,13 +133,18 @@ CASES = {
 }
 
 
-def digest(executor) -> str:
-    """SHA-256 over every execution of a reseeded ``ITERATIONS`` run."""
-    h = hashlib.sha256()
+def _run_iterations(executor):
+    """Yield each execution of a reseeded ``ITERATIONS`` run."""
     for i in range(ITERATIONS):
         if i == RESEED_AT:
             executor.reseed(99)
-        e = executor.run_one()
+        yield executor.run_one()
+
+
+def digest(executor) -> str:
+    """SHA-256 over every execution of a reseeded ``ITERATIONS`` run."""
+    h = hashlib.sha256()
+    for e in _run_iterations(executor):
         record = (sorted(e.rf.items(), key=repr),
                   sorted((a, list(c)) for a, c in e.ws.items()),
                   dataclasses.astuple(e.counters), e.crashed)
@@ -182,9 +192,65 @@ GOLDEN = {
 }
 
 
+#: (events processed, loads squashed) summed over each detailed case's
+#: run: the event loop's own work, pinned beside the executions it makes
+DETAILED_EVENT_COUNTS = {
+    'detailed-bug1': (102471, 1116),
+    'detailed-bug2': (94543, 247),
+    'detailed-bug3': (31561, 341),
+    'detailed-none': (103547, 1218),
+}
+
+#: iterations of ``detailed-none`` behind :data:`TRACE_DIGEST`
+TRACE_ITERATIONS = 5
+
+
+def event_counts(executor) -> tuple:
+    """(events processed, loads squashed) summed over the run."""
+    events = squashes = 0
+    for _ in _run_iterations(executor):
+        events += executor._events_processed
+        squashes += executor._squashed_loads
+    return events, squashes
+
+
+def trace_digest() -> str:
+    """SHA-256 over every protocol message and store commit that a
+    :class:`ProtocolTracer` sees in ``TRACE_ITERATIONS`` iterations of
+    ``detailed-none``: (time, src, dst, handler name, args) per message,
+    so the message order itself is pinned, not only its outcome."""
+    h = hashlib.sha256()
+    tracer = ProtocolTracer(capacity=None)
+    executor = CASES["detailed-none"]()
+    with tracer.attach_to(executor):
+        for _ in range(TRACE_ITERATIONS):
+            executor.run_one()
+            for event in tracer.events:
+                h.update(repr((event.time, event.kind, event.detail)).encode())
+            tracer.clear()
+    return h.hexdigest()
+
+
+TRACE_DIGEST = '06ec3095100698b94699aa266f8209365b1bf8ada8bc3384ed58d908c7064583'
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digest(case):
     assert digest(CASES[case]()) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(DETAILED_EVENT_COUNTS))
+def test_detailed_event_counts(case):
+    assert event_counts(CASES[case]()) == DETAILED_EVENT_COUNTS[case]
+
+
+def test_detailed_event_counts_cover_detailed_cases():
+    assert set(DETAILED_EVENT_COUNTS) == {
+        name for name in CASES if name.startswith("detailed-")}
+
+
+def test_protocol_trace_digest():
+    assert trace_digest() == TRACE_DIGEST
 
 
 def test_every_case_is_pinned():
@@ -194,3 +260,7 @@ def test_every_case_is_pinned():
 if __name__ == "__main__":
     for name in sorted(CASES):
         print("    %r: %r," % (name, digest(CASES[name]())))
+    for name in sorted(CASES):
+        if name.startswith("detailed-"):
+            print("    %r: %r," % (name, event_counts(CASES[name]())))
+    print("TRACE_DIGEST = %r" % trace_digest())
