@@ -237,7 +237,7 @@ def _cmd_run(args) -> int:
         if on_beat is not None:
             sys.stderr.write("\n")
         model = None  # register-width convention, same as the checker's
-        checker = lambda: check_campaign_result(result,
+        checker = lambda: check_campaign_result(result, baseline=False,
                                                 pipeline=args.check_pipeline)
     else:
         from repro.harness.runner import Campaign
@@ -259,7 +259,8 @@ def _cmd_run(args) -> int:
         result = campaign.run(args.iterations, block=args.block,
                               lint=args.lint)
         model = campaign.model
-        checker = lambda: campaign.check(result, pipeline=args.check_pipeline)
+        checker = lambda: check_campaign_result(result, model, baseline=False,
+                                                pipeline=args.check_pipeline)
     summary = {"config": config.name, "iterations": result.iterations,
                "unique_signatures": result.unique_signatures,
                "crashes": result.crashes, "jobs": args.jobs,

@@ -167,7 +167,9 @@ def dump_campaign(result: CampaignResult, include_ws: bool = True,
         doc["signature_asserts"] = result.signature_asserts
     if meta:
         doc["meta"] = dict(meta)
-    return json.dumps(doc, indent=1)
+    # compact separators keep json on its C encoder (indent forces the
+    # pure-Python one) and shrink the ws-heavy payload
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def campaign_meta(text: str) -> dict:

@@ -18,7 +18,6 @@ callback), and the PUTX/GETX writeback race (bug 3).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 from repro.errors import ProtocolCrash
 from repro.sim.faults import FaultConfig, NO_FAULT
@@ -26,15 +25,23 @@ from repro.sim.faults import FaultConfig, NO_FAULT
 # L1 line states
 I, S, E, M = "I", "S", "E", "M"
 IS, IM, SM = "IS", "IM", "SM"   # transients: awaiting data / ownership
+_STABLE = frozenset((S, E, M))
+_TRANSIENT = frozenset((IS, IM, SM))
+_OWNED = frozenset((E, M))
 
 
 class EventQueue:
-    """Global discrete-event queue with deterministic ordering."""
+    """Global discrete-event queue with deterministic ordering.
+
+    Events run in ``(time, scheduling order)`` order; ``processed``
+    counts the events :meth:`run` has completed.
+    """
 
     def __init__(self):
         self._heap = []
         self._seq = 0
         self.now = 0.0
+        self.processed = 0
 
     def schedule(self, delay: float, fn, *args) -> None:
         self._seq += 1
@@ -46,6 +53,26 @@ class EventQueue:
         self.now, _, fn, args = heapq.heappop(self._heap)
         fn(*args)
         return True
+
+    def run(self, budget: int) -> None:
+        """Run events until the queue is empty or ``processed`` exceeds
+        ``budget`` (the caller's livelock bound).
+
+        A handler's exception propagates with ``processed`` counting
+        only the events completed before it.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        processed = self.processed
+        try:
+            while heap:
+                self.now, _, fn, args = pop(heap)
+                fn(*args)
+                processed += 1
+                if processed > budget:
+                    return
+        finally:
+            self.processed = processed
 
     def __len__(self):
         return len(self._heap)
@@ -64,7 +91,8 @@ class Mesh:
         # directories at the four mesh corners
         for d, xy in enumerate(((0, 0), (3, 0), (0, 1), (3, 1))):
             self._coords[("dir", d)] = xy
-        self._last_delivery: dict[tuple, float] = {}
+        #: (src, dst) -> [base latency, last delivery time]
+        self._channels: dict[tuple, list] = {}
 
     def send(self, src: tuple, dst: tuple, fn, *args) -> None:
         """Deliver ``fn(*args)`` at ``dst`` after the network delay.
@@ -72,26 +100,42 @@ class Mesh:
         Delivery per (src, dst) channel is FIFO: a message never overtakes
         an earlier one on the same channel.
         """
-        (x0, y0), (x1, y1) = self._coords[src], self._coords[dst]
-        hops = abs(x0 - x1) + abs(y0 - y1)
-        delay = (self.base + hops * self.hop) * (1.0 + self.rng.random() * 0.35)
-        arrival = max(self.events.now + delay,
-                      self._last_delivery.get((src, dst), 0.0) + 1e-6)
-        self._last_delivery[(src, dst)] = arrival
-        self.events.schedule(arrival - self.events.now, fn, *args)
+        channel = self._channels.get((src, dst))
+        if channel is None:
+            (x0, y0), (x1, y1) = self._coords[src], self._coords[dst]
+            hops = abs(x0 - x1) + abs(y0 - y1)
+            channel = self._channels[src, dst] = [
+                self.base + hops * self.hop, 0.0]
+        events = self.events
+        now = events.now
+        arrival = now + channel[0] * (1.0 + self.rng.random() * 0.35)
+        earliest = channel[1] + 1e-6
+        if earliest > arrival:
+            arrival = earliest
+        channel[1] = arrival
+        events._seq += 1
+        # scheduled as a delay from now, exactly as EventQueue.schedule
+        # would: now + (arrival - now) need not equal arrival in floats
+        heapq.heappush(events._heap,
+                       (now + (arrival - now), events._seq, fn, args))
 
 
-@dataclass
 class _Line:
-    state: str = I
-    data: dict = field(default_factory=dict)   # word addr -> value
-    #: loads waiting for data, stores waiting for ownership
-    waiting_loads: list = field(default_factory=list)
-    waiting_store: object = None
-    #: a GETX for this line is queued at the directory; guards against
-    #: duplicate ownership requests (whose stale grants could otherwise
-    #: clobber newer local writes)
-    getx_outstanding: bool = False
+    """One L1 line: its state and words, and what waits on it."""
+
+    __slots__ = ("state", "data", "waiting_loads", "waiting_store",
+                 "getx_outstanding")
+
+    def __init__(self):
+        self.state = I
+        self.data = {}              # word addr -> value
+        #: loads waiting for data, stores waiting for ownership
+        self.waiting_loads = []
+        self.waiting_store = None
+        #: a GETX for this line is queued at the directory; guards
+        #: against duplicate ownership requests (whose stale grants could
+        #: otherwise clobber newer local writes)
+        self.getx_outstanding = False
 
 
 class L1Cache:
@@ -113,18 +157,25 @@ class L1Cache:
         #: callback(line) -> None: invoked when an invalidation must squash
         #: speculatively executed loads (wired by the core model)
         self.on_inv = lambda line: None
+        # the injected bugs, resolved once per controller
+        faults = system.faults
+        self._squash_on_inv = faults.squash_on_inv
+        self._squash_on_inv_in_sm = faults.squash_on_inv_in_sm
+        self._crash_on_writeback_race = faults.crash_on_writeback_race
 
     # -- core-facing API ---------------------------------------------------------
 
     def load(self, line: int, addr: int, callback) -> None:
         """Read ``addr``; ``callback(value)`` fires when the value is known."""
         entry = self.lines.get(line)
-        if entry is not None and entry.state in (S, E, M):
-            callback(entry.data.get(addr, 0))
-            return
-        if entry is not None and entry.state in (IS, IM, SM):
-            entry.waiting_loads.append((addr, callback))
-            return
+        if entry is not None:
+            state = entry.state
+            if state in _STABLE:
+                callback(entry.data.get(addr, 0))
+                return
+            if state in _TRANSIENT:
+                entry.waiting_loads.append((addr, callback))
+                return
         entry = self._allocate(line)
         entry.state = IS
         entry.waiting_loads.append((addr, callback))
@@ -133,25 +184,28 @@ class L1Cache:
     def store(self, line: int, addr: int, value: int, callback) -> None:
         """Write ``addr``; ``callback()`` fires once globally performed."""
         entry = self.lines.get(line)
-        if entry is not None and entry.state in (E, M):
-            entry.state = M
-            entry.data[addr] = value
-            self.system.record_store(addr, value)
-            callback()
-            return
-        if entry is not None and entry.state == S:
-            entry.state = SM
-            entry.waiting_store = (addr, value, callback)
-            if not entry.getx_outstanding:
-                entry.getx_outstanding = True
-                self.system.request("GETX", line, self.core)
-            return
-        if entry is not None and entry.state in (IS, IM, SM):
-            # One outstanding store per line suffices for an in-order SB.
-            # In IS the upgrade is deferred until the GETS data arrives
-            # (handle_data issues the GETX), avoiding duplicate requests.
-            entry.waiting_store = (addr, value, callback)
-            return
+        if entry is not None:
+            state = entry.state
+            if state in _OWNED:
+                entry.state = M
+                entry.data[addr] = value
+                self.system.record_store(addr, value)
+                callback()
+                return
+            if state == S:
+                entry.state = SM
+                entry.waiting_store = (addr, value, callback)
+                if not entry.getx_outstanding:
+                    entry.getx_outstanding = True
+                    self.system.request("GETX", line, self.core)
+                return
+            if state in _TRANSIENT:
+                # One outstanding store per line suffices for an in-order
+                # SB.  In IS the upgrade is deferred until the GETS data
+                # arrives (handle_data issues the GETX), avoiding
+                # duplicate requests.
+                entry.waiting_store = (addr, value, callback)
+                return
         entry = self._allocate(line)
         entry.state = IM
         entry.waiting_store = (addr, value, callback)
@@ -161,7 +215,7 @@ class L1Cache:
     def peek(self, line: int, addr: int):
         """Non-coherent debug read (None when absent)."""
         entry = self.lines.get(line)
-        if entry is not None and entry.state in (S, E, M):
+        if entry is not None and entry.state in _STABLE:
             return entry.data.get(addr)
         return None
 
@@ -172,7 +226,7 @@ class L1Cache:
         entry = self.lines.get(line)
         if entry is None:     # allocate on late arrival (evicted transient: not modelled)
             entry = self._allocate(line)
-        if entry.state in (S, E, M):
+        if entry.state in _STABLE:
             # Duplicate grant (e.g. a queued request granted after the
             # line was already obtained): our copy is authoritative or
             # identical — merging the grant could clobber newer local
@@ -181,12 +235,14 @@ class L1Cache:
         if grant == "M":
             entry.getx_outstanding = False
         entry.data.update(data)
-        entry.state = {"S": S, "E": E, "M": M}[grant]
-        for addr, callback in entry.waiting_loads:
-            callback(entry.data.get(addr, 0))
-        entry.waiting_loads.clear()
+        entry.state = grant           # the grant names its stable state
+        if entry.waiting_loads:
+            words = entry.data
+            for addr, callback in entry.waiting_loads:
+                callback(words.get(addr, 0))
+            entry.waiting_loads.clear()
         if entry.waiting_store is not None:
-            if entry.state in (E, M):
+            if entry.state in _OWNED:
                 addr, value, callback = entry.waiting_store
                 entry.waiting_store = None
                 entry.state = M
@@ -204,31 +260,27 @@ class L1Cache:
 
     def handle_inv(self, line: int) -> None:
         """Invalidation on behalf of another core's GETX."""
-        faults = self.system.faults
         entry = self.lines.get(line)
-        if entry is None or entry.state == I:
-            self.system.inv_ack(line, self.core)
-            return
-        if entry.state == SM:
-            # lost an upgrade race: fall back to IM and await DATA_M
-            if faults.squash_on_inv_in_sm:
-                self.on_inv(line)
-            entry.state = IM
-            entry.data.clear()
-        elif entry.state == IS or entry.state == IM:
-            # not yet a sharer for this epoch; ack and carry on
-            pass
-        else:
-            if faults.squash_on_inv:
-                self.on_inv(line)
-            del self.lines[line]
+        if entry is not None:
+            state = entry.state
+            if state == SM:
+                # lost an upgrade race: fall back to IM and await DATA_M
+                if self._squash_on_inv_in_sm:
+                    self.on_inv(line)
+                entry.state = IM
+                entry.data.clear()
+            elif state in _STABLE:
+                if self._squash_on_inv:
+                    self.on_inv(line)
+                del self.lines[line]
+            # I, IS, IM: not yet a sharer for this epoch; ack and carry on
         self.system.inv_ack(line, self.core)
 
     def handle_fetch(self, line: int, invalidate: bool) -> None:
         """Directory recall (FETCH / FETCH_INV) for an owned line."""
         entry = self.lines.get(line)
-        if entry is None or entry.state not in (E, M):
-            if self.system.faults.crash_on_writeback_race:
+        if entry is None or entry.state not in _OWNED:
+            if self._crash_on_writeback_race:
                 raise ProtocolCrash(
                     "invalid transition: FETCH for line %d in state %s at core %d"
                     % (line, entry.state if entry else I, self.core))
@@ -238,7 +290,7 @@ class L1Cache:
             return
         data = dict(entry.data)
         if invalidate:
-            if self.system.faults.squash_on_inv:
+            if self._squash_on_inv:
                 self.on_inv(line)
             del self.lines[line]
         else:
@@ -248,18 +300,28 @@ class L1Cache:
     # -- internals ----------------------------------------------------------------------
 
     def _allocate(self, line: int) -> _Line:
-        if line not in self.lines and len(self.lines) >= self.capacity:
+        lines = self.lines
+        if len(lines) >= self.capacity and line not in lines:
             self._evict()
-        entry = _Line()
-        self.lines[line] = entry
+        entry = lines[line] = _Line()
         return entry
 
     def _evict(self) -> None:
-        stable = [l for l, e in self.lines.items() if e.state in (S, E, M)]
+        lines = self.lines
+        stable = 0
+        for entry in lines.values():
+            if entry.state in _STABLE:
+                stable += 1
         if not stable:
             return   # transients cannot be evicted; allow mild over-capacity
-        victim = stable[int(self.system.rng.random() * len(stable))]
-        entry = self.lines.pop(victim)
+        # the victim is the k-th stable line in allocation order
+        k = int(self.system.rng.random() * stable)
+        for victim, entry in lines.items():
+            if entry.state in _STABLE:
+                if not k:
+                    break
+                k -= 1
+        del lines[victim]
         # Losing the line means no future invalidation will reach this
         # core, so speculatively-executed loads to it must re-execute now.
         # This safeguard is part of the LSQ/eviction datapath, not the
@@ -270,18 +332,23 @@ class L1Cache:
             self.system.putx(victim, self.core, dict(entry.data))
 
 
-@dataclass
 class _DirLine:
-    state: str = "U"              # U (at dir) / S (sharers) / E (owner)
-    sharers: set = field(default_factory=set)
-    owner: int = None
-    data: dict = field(default_factory=dict)
-    busy: bool = False
-    pending: list = field(default_factory=list)   # queued (kind, core)
-    # in-flight GETX bookkeeping
-    acks_needed: int = 0
-    requestor: int = None
-    request_kind: str = None
+    """The directory's record of one line."""
+
+    __slots__ = ("state", "sharers", "owner", "data", "busy", "pending",
+                 "acks_needed", "requestor", "request_kind")
+
+    def __init__(self):
+        self.state = "U"            # U (at dir) / S (sharers) / E (owner)
+        self.sharers = set()
+        self.owner = None
+        self.data = {}
+        self.busy = False
+        self.pending = []           # queued (kind, core)
+        # in-flight GETX bookkeeping
+        self.acks_needed = 0
+        self.requestor = None
+        self.request_kind = None
 
 
 class Directory:
@@ -293,16 +360,25 @@ class Directory:
         self.lines: dict[int, _DirLine] = {}
 
     def _line(self, line: int) -> _DirLine:
-        return self.lines.setdefault(line, _DirLine())
+        entry = self.lines.get(line)
+        if entry is None:
+            entry = self.lines[line] = _DirLine()
+        return entry
 
     # -- request entry point ------------------------------------------------------
 
     def request(self, kind: str, line: int, core: int) -> None:
-        """Enqueue a request; the per-line queue preserves arrival order
-        even across requests that complete without a busy period."""
+        """Serve a request now, or queue it behind the line's in-flight
+        transaction; the per-line queue preserves arrival order (it is
+        drained whenever the line stops being busy, so it is empty
+        whenever the line is idle)."""
         entry = self._line(line)
-        entry.pending.append((kind, core))
-        self._drain(line, entry)
+        if entry.busy:
+            entry.pending.append((kind, core))
+        elif kind == "GETS":
+            self._gets(line, entry, core)
+        else:
+            self._getx(line, entry, core)
 
     def _drain(self, line: int, entry: "_DirLine") -> None:
         while entry.pending and not entry.busy:
@@ -444,6 +520,9 @@ class CoherentSystem:
         self.caches = [L1Cache(core, self, faults.l1_lines)
                        for core in range(num_cores)]
         self.dirs = [Directory(d, self) for d in range(4)]
+        #: mesh node names, built once: ("core", i) and ("dir", d)
+        self._core_nodes = [("core", core) for core in range(num_cores)]
+        self._dir_nodes = [("dir", d) for d in range(4)]
         #: per-address coherence order of store values, appended as each
         #: store's word write is globally performed
         self.store_order: dict[int, list[int]] = {}
@@ -458,39 +537,41 @@ class CoherentSystem:
 
     def request(self, kind: str, line: int, core: int) -> None:
         d = self.dir_of(line)
-        self.mesh.send(("core", core), ("dir", d),
+        self.mesh.send(self._core_nodes[core], self._dir_nodes[d],
                        self.dirs[d].request, kind, line, core)
 
     def send_data(self, d: int, line: int, core: int, grant: str, data: dict) -> None:
-        self.mesh.send(("dir", d), ("core", core),
+        self.mesh.send(self._dir_nodes[d], self._core_nodes[core],
                        self.caches[core].handle_data, line, grant, dict(data))
 
     def send_inv(self, d: int, line: int, core: int) -> None:
-        self.mesh.send(("dir", d), ("core", core),
+        self.mesh.send(self._dir_nodes[d], self._core_nodes[core],
                        self.caches[core].handle_inv, line)
 
     def send_fetch(self, d: int, line: int, core: int, invalidate: bool) -> None:
-        self.mesh.send(("dir", d), ("core", core),
+        self.mesh.send(self._dir_nodes[d], self._core_nodes[core],
                        self.caches[core].handle_fetch, line, invalidate)
 
     def inv_ack(self, line: int, core: int) -> None:
         d = self.dir_of(line)
-        self.mesh.send(("core", core), ("dir", d), self.dirs[d].inv_ack, line, core)
+        self.mesh.send(self._core_nodes[core], self._dir_nodes[d],
+                       self.dirs[d].inv_ack, line, core)
 
     def writeback_data(self, line: int, core: int, data: dict) -> None:
         d = self.dir_of(line)
-        self.mesh.send(("core", core), ("dir", d),
+        self.mesh.send(self._core_nodes[core], self._dir_nodes[d],
                        self.dirs[d].writeback_data, line, core, data)
 
     def fetch_stale(self, line: int, core: int) -> None:
         d = self.dir_of(line)
-        self.mesh.send(("core", core), ("dir", d),
+        self.mesh.send(self._core_nodes[core], self._dir_nodes[d],
                        self.dirs[d].fetch_stale, line, core)
 
     def putx(self, line: int, core: int, data: dict) -> None:
         d = self.dir_of(line)
-        self.mesh.send(("core", core), ("dir", d), self.dirs[d].putx, line, core, data)
+        self.mesh.send(self._core_nodes[core], self._dir_nodes[d],
+                       self.dirs[d].putx, line, core, data)
 
     def wb_ack(self, line: int, core: int) -> None:
-        self.mesh.send(("dir", self.dir_of(line)), ("core", core),
+        self.mesh.send(self._dir_nodes[self.dir_of(line)], self._core_nodes[core],
                        self.caches[core].wb_pending.discard, line)

@@ -24,9 +24,10 @@ The executor exposes the same interface as
 from __future__ import annotations
 
 import random
+from functools import partial
 
 from repro.errors import ExecutionError, ProtocolCrash
-from repro.isa.instructions import INIT, INIT_VALUE
+from repro.isa.instructions import INIT, INIT_VALUE, OpKind
 from repro.isa.layout import MemoryLayout
 from repro.isa.program import TestProgram
 from repro.mcm.model import MemoryModel
@@ -41,6 +42,7 @@ from repro.sim.faults import FaultConfig, NO_FAULT
 from repro.sim.platform import GEM5_X86_8CORE, Platform
 
 _WAIT, _ISSUED, _DONE = 0, 1, 2
+_LOAD, _STORE, _BARRIER = OpKind.LOAD, OpKind.STORE, OpKind.BARRIER
 
 
 def _stuck_state(cores, system) -> str:
@@ -64,22 +66,30 @@ def _stuck_state(cores, system) -> str:
 
 
 class _LsqEntry:
-    __slots__ = ("op", "status", "value", "forwarded", "line")
+    """One LSQ slot.  ``value`` is the value a store writes, or the value
+    a load read (None until known); ``line`` is set for loads only."""
 
-    def __init__(self, op):
+    __slots__ = ("op", "kind", "addr", "line", "status", "value",
+                 "forwarded")
+
+    def __init__(self, op, kind, addr, line, value):
         self.op = op
+        self.kind = kind
+        self.addr = addr
+        self.line = line
         self.status = _WAIT
-        self.value = None
+        self.value = value
         self.forwarded = False
-        self.line = None
 
 
 class _Core:
-    __slots__ = ("tid", "ops", "next_dispatch", "lsq", "sb", "draining", "finished")
+    __slots__ = ("tid", "slots", "num_ops", "next_dispatch", "lsq", "sb",
+                 "draining", "finished")
 
-    def __init__(self, tid, ops):
+    def __init__(self, tid, slots):
         self.tid = tid
-        self.ops = ops
+        self.slots = slots      # (op, kind, addr, line, value) per op
+        self.num_ops = len(slots)
         self.next_dispatch = 0
         self.lsq = []
         self.sb = []            # (line, addr, value) in program order
@@ -122,6 +132,13 @@ class DetailedExecutor:
         self.rng = random.Random(seed)
         self.layout = layout or MemoryLayout(program.num_addresses, 1)
         self._value_to_uid = {op.value: op.uid for op in program.stores}
+        line_of = self.layout.line_of
+        #: per thread, each op's LSQ fields: (op, kind, addr, line, value)
+        self._slots = [
+            [(op, op.kind, op.addr,
+              None if op.kind is _BARRIER else line_of(op.addr), op.value)
+             for op in tp.ops]
+            for tp in program.threads]
         self._squashed_loads = 0
         self._events_processed = 0
 
@@ -160,60 +177,62 @@ class DetailedExecutor:
         system = CoherentSystem(self.platform.num_cores, self.rng, events,
                                 self.faults)
         rng = self.rng
+        schedule = events.schedule
         program = self.program
-        line_of = self.layout.line_of
-        cores = [_Core(tp.thread, tp.ops) for tp in program.threads]
+        caches = system.caches
+        lsq_size = self.lsq_size
+        source_of = self._source_of
+        cores = [_Core(tp.thread, slots)
+                 for tp, slots in zip(program.threads, self._slots)]
         rf: dict[int, object] = {}
         counters = ExecutionCounters()
         max_events = 2000 * max(1, program.num_ops) + 10000
-        processed = 0
-
-        # wire invalidation squash from each L1 into its core's LSQ
-        for core in cores:
-            system.caches[core.tid].on_inv = self._squasher(core, events, rng)
 
         def dispatch(core: _Core) -> None:
-            if core.next_dispatch >= len(core.ops):
+            if core.next_dispatch >= core.num_ops:
                 return
-            if len(core.lsq) >= self.lsq_size:
-                events.schedule(1.0 + rng.random(), dispatch, core)
+            lsq = core.lsq
+            if len(lsq) >= lsq_size:
+                schedule(1.0 + rng.random(), dispatch, core)
                 return
-            op = core.ops[core.next_dispatch]
+            entry = _LsqEntry(*core.slots[core.next_dispatch])
             core.next_dispatch += 1
-            entry = _LsqEntry(op)
-            core.lsq.append(entry)
-            if op.is_load:
-                entry.line = line_of(op.addr)
-                events.schedule(0.5 + rng.random() * 6.0, issue_load, core, entry)
+            lsq.append(entry)
+            if entry.kind is _LOAD:
+                schedule(0.5 + rng.random() * 6.0, issue_load, core, entry)
             else:
                 entry.status = _DONE   # stores/barriers are ready at dispatch
                 try_commit(core)
-            events.schedule(1.0 + rng.random() * 0.2, dispatch, core)
+            schedule(1.0 + rng.random() * 0.2, dispatch, core)
 
         def issue_load(core: _Core, entry: _LsqEntry) -> None:
-            if entry.status != _WAIT or entry not in core.lsq:
+            # a waiting load is always still in the LSQ: only done loads
+            # commit, and a squash re-schedules at most one issue
+            if entry.status != _WAIT:
                 return
-            op = entry.op
+            addr = entry.addr
             # LSQ + store-buffer forwarding: youngest older same-address store
-            for other in reversed(core.lsq[:core.lsq.index(entry)]):
-                if other.op.is_store and other.op.addr == op.addr:
-                    entry.value = other.op.value
-                    entry.status = _DONE
-                    entry.forwarded = True
-                    try_commit(core)
-                    return
-            for line, addr, value in reversed(core.sb):
-                if addr == op.addr:
-                    entry.value = value
-                    entry.status = _DONE
-                    entry.forwarded = True
-                    try_commit(core)
-                    return
+            value = None
+            for other in core.lsq:
+                if other is entry:
+                    break
+                if other.kind is _STORE and other.addr == addr:
+                    value = other.value
+            if value is None:
+                for _, sb_addr, sb_value in reversed(core.sb):
+                    if sb_addr == addr:
+                        value = sb_value
+                        break
+            if value is not None:
+                entry.value = value
+                entry.status = _DONE
+                entry.forwarded = True
+                try_commit(core)
+                return
             entry.status = _ISSUED
             counters.test_accesses += 1
-            system.caches[core.tid].load(
-                entry.line, op.addr,
-                lambda value, c=core, e=entry: complete_load(c, e, value))
+            caches[core.tid].load(entry.line, addr,
+                                  partial(complete_load, core, entry))
 
         def complete_load(core: _Core, entry: _LsqEntry, value: int) -> None:
             if entry.status != _ISSUED:
@@ -223,29 +242,29 @@ class DetailedExecutor:
             try_commit(core)
 
         def try_commit(core: _Core) -> None:
-            while core.lsq:
-                entry = core.lsq[0]
-                op = entry.op
-                if op.is_barrier:
+            lsq = core.lsq
+            while lsq:
+                entry = lsq[0]
+                kind = entry.kind
+                if kind is _BARRIER:
                     if core.sb:
                         return          # mfence: wait for the SB to drain
-                    core.lsq.pop(0)
+                    del lsq[0]
                     continue
-                if op.is_store:
-                    core.lsq.pop(0)
-                    core.sb.append((line_of(op.addr), op.addr, op.value))
+                if kind is _STORE:
+                    del lsq[0]
+                    core.sb.append((entry.line, entry.addr, entry.value))
                     if not core.draining:
                         core.draining = True
                         # stores linger in the buffer: this window is what
                         # lets TSO loads overtake them (store buffering)
-                        events.schedule(4.0 + rng.random() * 10.0, drain_sb, core)
+                        schedule(4.0 + rng.random() * 10.0, drain_sb, core)
                     continue
                 if entry.status != _DONE:
                     return
-                rf[op.uid] = self._source_of(entry.value)
-                core.lsq.pop(0)
-            if (core.next_dispatch >= len(core.ops) and not core.lsq
-                    and not core.sb):
+                rf[entry.op.uid] = source_of(entry.value)
+                del lsq[0]
+            if core.next_dispatch >= core.num_ops and not core.sb:
                 core.finished = True
 
         def drain_sb(core: _Core) -> None:
@@ -255,25 +274,27 @@ class DetailedExecutor:
                 return
             line, addr, value = core.sb[0]
             counters.test_accesses += 1
-            system.caches[core.tid].store(
-                line, addr, value, lambda c=core: store_done(c))
+            caches[core.tid].store(line, addr, value,
+                                   partial(store_done, core))
 
         def store_done(core: _Core) -> None:
-            core.sb.pop(0)
-            events.schedule(1.0 + rng.random() * 3.0, drain_sb, core)
+            del core.sb[0]
+            schedule(1.0 + rng.random() * 3.0, drain_sb, core)
 
-        self._issue_load_fn = issue_load   # used by the squasher closure
+        # wire invalidation squash from each L1 into its core's LSQ
         for core in cores:
-            events.schedule(rng.random() * 2.0, dispatch, core)
+            caches[core.tid].on_inv = self._squasher(core, schedule, rng,
+                                                     issue_load)
+        for core in cores:
+            schedule(rng.random() * 2.0, dispatch, core)
 
         try:
-            while events.run_next():
-                processed += 1
-                if processed > max_events:
-                    raise ProtocolCrash("protocol livelock: event budget exhausted; %s"
-                                        % _stuck_state(cores, system))
+            events.run(max_events)
         finally:
-            self._events_processed = processed
+            self._events_processed = events.processed
+        if events.processed > max_events:
+            raise ProtocolCrash("protocol livelock: event budget exhausted; %s"
+                                % _stuck_state(cores, system))
         if not all(core.finished for core in cores):
             raise ProtocolCrash("protocol deadlock: %s"
                                 % _stuck_state(cores, system))
@@ -287,23 +308,27 @@ class DetailedExecutor:
 
     # -- helpers ----------------------------------------------------------------------
 
-    def _squasher(self, core: _Core, events: EventQueue, rng):
+    def _squasher(self, core: _Core, schedule, rng, issue_load):
         """The x86 LSQ invalidation rule for one core.
 
         Re-executes every speculatively-completed, uncommitted load whose
-        line was invalidated (unless its value came from forwarding, which
-        cannot be stale).  The fault configuration decides whether this
-        callback is invoked at all (bugs 1 and 2 suppress it).
+        line was invalidated, except loads whose value came from store
+        forwarding.  That exception is a known defect: a forwarded load
+        can complete ahead of an older load and stay uncommitted after
+        its source store has drained and another core's GETX has recalled
+        the line, so its value can be stale and TSO's load->load order
+        breaks (``tests/test_sim_detailed.py`` keeps the repro as a strict
+        xfail).  The fault configuration decides whether this callback is
+        invoked at all (bugs 1 and 2 suppress it).
         """
         def squash(line: int) -> None:
             for entry in core.lsq:
-                if (entry.op.is_load and entry.status == _DONE
+                if (entry.kind is _LOAD and entry.status == _DONE
                         and not entry.forwarded and entry.line == line):
                     entry.status = _WAIT
                     entry.value = None
                     self._squashed_loads += 1
-                    events.schedule(0.5 + rng.random(),
-                                    self._issue_load_fn, core, entry)
+                    schedule(0.5 + rng.random(), issue_load, core, entry)
         return squash
 
     def _source_of(self, value: int):

@@ -55,6 +55,17 @@ class TestRunArtifacts:
         assert {"campaign.plan", "block.done", "campaign.result"} <= kinds
         assert all(e.scope == "run" for e in events)    # serial: no host
 
+    @pytest.mark.parametrize("extra", [(), ("--jobs", "2", "--block", "20")],
+                             ids=["serial", "fleet"])
+    def test_run_report_checks_without_the_baseline(self, tmp_path, capsys,
+                                                    extra):
+        """Telemetry observes the run's own check; it does not add the
+        conventional baseline checker the run never asked for."""
+        report_path, _events, _trace = run_with_artifacts(tmp_path, *extra)
+        names = obs.span_names(obs.read_report(str(report_path)))
+        assert "check" in names
+        assert "checker.baseline" not in names
+
     def test_fleet_trace_includes_shard_slices(self, tmp_path, capsys):
         _r, _e, trace_path = run_with_artifacts(tmp_path, "--jobs", "2",
                                                 "--block", "20")

@@ -72,6 +72,17 @@ class TestCampaignRoundTrip:
         report = CollectiveChecker().check(graphs)
         assert not report.violations
 
+    def test_dump_is_compact_and_round_trips(self, finished_campaign):
+        _, result = finished_campaign
+        dump = repro_io.dump_campaign(result)
+        assert "\n" not in dump
+        assert dump == json.dumps(json.loads(dump), separators=(",", ":"))
+        loaded = repro_io.load_campaign(dump)
+        assert loaded.signature_counts == result.signature_counts
+        for signature, execution in loaded.representatives.items():
+            assert execution.ws == result.representatives[signature].ws
+        assert repro_io.dump_campaign(loaded) == dump
+
     def test_file_round_trip(self, finished_campaign, tmp_path):
         campaign, result = finished_campaign
         path = tmp_path / "dump.json"
