@@ -34,8 +34,10 @@ class EventQueue:
     """Global discrete-event queue with deterministic ordering.
 
     Events run in ``(time, scheduling order)`` order; ``processed``
-    counts the events :meth:`run` has completed.
+    counts every event :meth:`run` has completed.
     """
+
+    __slots__ = ("_heap", "_seq", "now", "processed")
 
     def __init__(self):
         self._heap = []
@@ -47,32 +49,26 @@ class EventQueue:
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
-    def run_next(self) -> bool:
-        if not self._heap:
-            return False
-        self.now, _, fn, args = heapq.heappop(self._heap)
-        fn(*args)
-        return True
+    def run(self, budget: int) -> int:
+        """Run events until the queue is empty or more than ``budget`` of
+        them have run in this call (the caller's livelock bound).
 
-    def run(self, budget: int) -> None:
-        """Run events until the queue is empty or ``processed`` exceeds
-        ``budget`` (the caller's livelock bound).
-
-        A handler's exception propagates with ``processed`` counting
-        only the events completed before it.
+        Returns the number run.  A handler's exception propagates, and
+        ``processed`` then counts only the events completed before it.
         """
         heap = self._heap
         pop = heapq.heappop
-        processed = self.processed
+        processed = 0
         try:
             while heap:
                 self.now, _, fn, args = pop(heap)
                 fn(*args)
                 processed += 1
                 if processed > budget:
-                    return
+                    break
         finally:
-            self.processed = processed
+            self.processed += processed
+        return processed
 
     def __len__(self):
         return len(self._heap)
@@ -80,6 +76,8 @@ class EventQueue:
 
 class Mesh:
     """4x2 mesh latency model with per-channel FIFO delivery."""
+
+    __slots__ = ("events", "rng", "hop", "base", "_coords", "_channels")
 
     def __init__(self, events: EventQueue, rng, num_cores: int = 8,
                  hop_latency: float = 2.0, base_latency: float = 3.0):
@@ -147,6 +145,10 @@ class L1Cache:
         capacity: line capacity; small values force evictions (bug 1/3
             intensification, paper Section 7).
     """
+
+    __slots__ = ("core", "system", "capacity", "lines", "wb_pending",
+                 "on_inv", "_squash_on_inv", "_squash_on_inv_in_sm",
+                 "_crash_on_writeback_race")
 
     def __init__(self, core: int, system: "CoherentSystem", capacity: int):
         self.core = core
@@ -353,6 +355,8 @@ class _DirLine:
 
 class Directory:
     """One directory slice, serializing coherence per line."""
+
+    __slots__ = ("index", "system", "lines")
 
     def __init__(self, index: int, system: "CoherentSystem"):
         self.index = index

@@ -67,7 +67,7 @@ def _stuck_state(cores, system) -> str:
 
 class _LsqEntry:
     """One LSQ slot.  ``value`` is the value a store writes, or the value
-    a load read (None until known); ``line`` is set for loads only."""
+    a load read (None until known); ``line`` is None for barriers."""
 
     __slots__ = ("op", "kind", "addr", "line", "status", "value",
                  "forwarded")
@@ -289,10 +289,10 @@ class DetailedExecutor:
             schedule(rng.random() * 2.0, dispatch, core)
 
         try:
-            events.run(max_events)
+            processed = events.run(max_events)
         finally:
             self._events_processed = events.processed
-        if events.processed > max_events:
+        if processed > max_events:
             raise ProtocolCrash("protocol livelock: event budget exhausted; %s"
                                 % _stuck_state(cores, system))
         if not all(core.finished for core in cores):

@@ -16,10 +16,7 @@ def make_system(faults=FaultConfig(), cores=8):
 
 
 def drain(events, limit=10000):
-    n = 0
-    while events.run_next():
-        n += 1
-        assert n < limit, "protocol did not quiesce"
+    assert events.run(limit) <= limit, "protocol did not quiesce"
 
 
 class TestEventQueue:
@@ -43,6 +40,27 @@ class TestEventQueue:
         events = EventQueue()
         events.schedule(1.0, lambda: None)
         assert len(events) == 1
+
+    def test_run_stops_past_the_budget_and_counts(self):
+        events = EventQueue()
+        for i in range(5):
+            events.schedule(float(i), lambda: None)
+        assert events.run(2) == 3          # the event that exceeds it ran
+        assert len(events) == 2
+        assert events.run(10) == 2
+        assert events.processed == 5 and events.now == 4.0
+
+    def test_run_counts_only_completed_events_on_error(self):
+        events = EventQueue()
+
+        def boom():
+            raise ProtocolCrash("boom")
+
+        events.schedule(1.0, lambda: None)
+        events.schedule(2.0, boom)
+        with pytest.raises(ProtocolCrash):
+            events.run(10)
+        assert events.processed == 1
 
 
 class TestMeshFifo:
