@@ -83,13 +83,13 @@ class _LsqEntry:
 
 
 class _Core:
-    __slots__ = ("tid", "slots", "num_ops", "next_dispatch", "lsq", "sb",
+    __slots__ = ("tid", "fields", "num_ops", "next_dispatch", "lsq", "sb",
                  "draining", "finished")
 
-    def __init__(self, tid, slots):
+    def __init__(self, tid, fields):
         self.tid = tid
-        self.slots = slots      # (op, kind, addr, line, value) per op
-        self.num_ops = len(slots)
+        self.fields = fields    # (op, kind, addr, line, value) per op
+        self.num_ops = len(fields)
         self.next_dispatch = 0
         self.lsq = []
         self.sb = []            # (line, addr, value) in program order
@@ -134,7 +134,7 @@ class DetailedExecutor:
         self._value_to_uid = {op.value: op.uid for op in program.stores}
         line_of = self.layout.line_of
         #: per thread, each op's LSQ fields: (op, kind, addr, line, value)
-        self._slots = [
+        self._lsq_fields = [
             [(op, op.kind, op.addr,
               None if op.kind is _BARRIER else line_of(op.addr), op.value)
              for op in tp.ops]
@@ -182,8 +182,8 @@ class DetailedExecutor:
         caches = system.caches
         lsq_size = self.lsq_size
         source_of = self._source_of
-        cores = [_Core(tp.thread, slots)
-                 for tp, slots in zip(program.threads, self._slots)]
+        cores = [_Core(tp.thread, fields)
+                 for tp, fields in zip(program.threads, self._lsq_fields)]
         rf: dict[int, object] = {}
         counters = ExecutionCounters()
         max_events = 2000 * max(1, program.num_ops) + 10000
@@ -195,7 +195,7 @@ class DetailedExecutor:
             if len(lsq) >= lsq_size:
                 schedule(1.0 + rng.random(), dispatch, core)
                 return
-            entry = _LsqEntry(*core.slots[core.next_dispatch])
+            entry = _LsqEntry(*core.fields[core.next_dispatch])
             core.next_dispatch += 1
             lsq.append(entry)
             if entry.kind is _LOAD:
